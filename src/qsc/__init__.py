@@ -28,7 +28,6 @@ from .syntax import (
     formula_str,
     negate,
     normalize,
-    seq,
     sequent_equivalent,
     sequent_str,
 )

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .kernel import LogicMode, check_derivation
-from .parser import ProofScript, parse_script, parse_sequent
+from .parser import ProofScript, parse_script, parse_sequent, script_labels
 from .semantics import (
     DEFAULT_TOL,
     QState,
@@ -134,9 +134,7 @@ def run_entry(entry: CorpusEntry, mode: LogicMode = LogicMode.BASIC,
               bindings: Optional[Dict[str, complex]] = None) -> EntryResult:
     bindings = dict(DEFAULT_BINDINGS if bindings is None else bindings)
     script = load_entry(entry)
-    labels: Dict[int, str] = {}
-    for theorem in script.theorems:
-        labels.update(theorem.labels)
+    labels = script_labels(script)
     check_ok = True
     verify_ok = True
     max_residual = 0.0

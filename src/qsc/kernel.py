@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .syntax import (
     SQRT1_2,
@@ -33,7 +33,6 @@ from .syntax import (
     negate,
     normalize,
     party_wire,
-    seq,
     sequent_equivalent,
     sequent_str,
 )
@@ -43,32 +42,6 @@ class LogicMode(enum.Enum):
     BASIC = "basic"
     INTUITIONISTIC_LEFT = "intuitionistic"
 
-
-# Rule names as they appear in proof scripts.  The structural rules C, W
-# and P of ordinary sequent calculi are intentionally absent.
-RULE_ARITY = {
-    "premise": (0, 0),
-    "axiom": (0, 0),
-    "ataxiom": (0, 0),
-    "andform": (2, 2),
-    "andrefl": (1, 1),
-    "parform": (1, 1),
-    "negform": (1, 1),
-    "negrefl": (1, 1),
-    "cut": (2, 2),
-    "atform": (2, 2),
-    "atimplrefl": (1, 1),
-    "atexplrefl": (2, 2),
-    "semidistrib": (1, 1),
-    "qsplit": (1, 3),
-    "hrule": (1, 1),
-    "hinverse": (1, 1),
-    "cnot": (1, 1),
-    "epr": (2, 2),
-    "parallel": (2, 2),
-}
-
-RULES = frozenset(RULE_ARITY)
 
 Param = Union[str, Formula]
 
@@ -194,11 +167,11 @@ def check_andform(premises: Tuple[Sequent, Sequent], conclusion: Sequent) -> Ver
     candidates = diffs if diffs else list(range(n))
     for i in candidates:
         joined = And(p1.consequent[i], p2.consequent[i], degrees)
-        expected = seq(p1.antecedent, _splice(p1.consequent, i, (joined,)))
+        expected = Sequent(p1.antecedent, _splice(p1.consequent, i, (joined,)))
         if sequent_equivalent(conclusion, expected):
             return Verdict.passed()
     joined = And(p1.consequent[candidates[0]], p2.consequent[candidates[0]], degrees)
-    expected = seq(p1.antecedent, _splice(p1.consequent, candidates[0], (joined,)))
+    expected = Sequent(p1.antecedent, _splice(p1.consequent, candidates[0], (joined,)))
     return _conclusion_check(conclusion, expected)
 
 
@@ -222,8 +195,8 @@ def check_andrefl(premise: Sequent, conclusion: Sequent, mode: LogicMode) -> Ver
         return _fail("VisibilityViolation",
                      "basic mode admits no context beside the reflected formula")
     expected_formula = And(Atom(active.name), Atom(active.name, negated=True))
-    expected = seq(_splice(premise.antecedent, i, (expected_formula,)),
-                   premise.consequent)
+    expected = Sequent(_splice(premise.antecedent, i, (expected_formula,)),
+                       premise.consequent)
     return _conclusion_check(conclusion, expected, "SchemaMismatch")
 
 
@@ -289,7 +262,7 @@ def check_negform(premise: Sequent, conclusion: Sequent,
     moved = _neg_move(premise.antecedent, names)
     if moved is None:
         return _fail("SchemaMismatch", "only atoms can cross the turnstile")
-    expected = seq((), moved + premise.consequent)
+    expected = Sequent((), moved + premise.consequent)
     return _conclusion_check(conclusion, expected, "SchemaMismatch")
 
 
@@ -303,7 +276,7 @@ def check_negrefl(premise: Sequent, conclusion: Sequent,
     moved = _neg_move(premise.consequent, names)
     if moved is None:
         return _fail("SchemaMismatch", "only atoms can cross the turnstile")
-    expected = seq(moved, ())
+    expected = Sequent(moved, ())
     return _conclusion_check(conclusion, expected, "SchemaMismatch")
 
 
@@ -492,10 +465,10 @@ def check_atform(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
                          "the @-formation conclusion asserts the entangled pair alone")
         return _fail("SchemaMismatch", "conclusion must assert the entangled pair")
     for cand in candidates:
-        expected = seq(p1.antecedent, (cand,))
+        expected = Sequent(p1.antecedent, (cand,))
         if sequent_equivalent(conclusion, expected):
             return Verdict.passed(f"convention={convention}")
-    return _conclusion_check(conclusion, seq(p1.antecedent, (candidates[0],)))
+    return _conclusion_check(conclusion, Sequent(p1.antecedent, (candidates[0],)))
 
 
 def check_atimplrefl(premise: Sequent, conclusion: Sequent,
@@ -540,8 +513,8 @@ def check_atexplrefl(premises: Tuple[Sequent, Sequent],
     if x is None or y is None or x.name == y.name or x.negated != y.negated:
         return _fail("SchemaMismatch",
                      "explicit @-reflection takes same-polarity literal assumptions")
-    expected = seq((Ent(Qubit(x.name), Qubit(y.name)),),
-                   p1.consequent + p2.consequent)
+    expected = Sequent((Ent(Qubit(x.name), Qubit(y.name)),),
+                       p1.consequent + p2.consequent)
     return _conclusion_check(conclusion, expected, "SchemaMismatch")
 
 
@@ -658,7 +631,7 @@ def check_hinverse(premise: Sequent, conclusion: Sequent) -> Verdict:
         outcome = Atom(stated.name, negated=False)
     else:
         return _fail("WrongDegrees", "premise is neither the |+> nor the |-> cat state")
-    return _conclusion_check(conclusion, seq((), (outcome,)), "SchemaMismatch")
+    return _conclusion_check(conclusion, Sequent((), (outcome,)), "SchemaMismatch")
 
 
 _CNOT_CLAUSES = {
@@ -688,7 +661,7 @@ def check_cnot(premise: Sequent, conclusion: Sequent,
                          f"premise polarities do not match clause ({clause})")
     # control true (|1>, positive literal) flips the target
     new_target = negate(target) if not control.negated else target
-    expected = seq((), (control, new_target))
+    expected = Sequent((), (control, new_target))
     return _conclusion_check(conclusion, expected, "SchemaMismatch")
 
 
@@ -762,56 +735,79 @@ def check_parallel(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
 # ---------------------------------------------------------------------------
 # Tree driver
 
+# Rule names as they appear in proof scripts, each with its fewest and most
+# premises and its checker, which takes the node, the conclusions of its
+# premises and the mode.  The structural rules C, W and P of ordinary
+# sequent calculi are intentionally absent.
+_RULE_TABLE = {
+    "premise": (0, 0, lambda n, ps, mode: Verdict.passed("hypothesis")),
+    "axiom": (0, 0, lambda n, ps, mode: check_axiom(n)),
+    "ataxiom": (0, 0, lambda n, ps, mode: check_ataxiom(n)),
+    "andform": (2, 2, lambda n, ps, mode: check_andform(ps, n.conclusion)),
+    "andrefl": (1, 1, lambda n, ps, mode: check_andrefl(ps[0], n.conclusion, mode)),
+    "parform": (1, 1, lambda n, ps, mode: check_parform(ps[0], n.conclusion, n.params)),
+    "negform": (1, 1, lambda n, ps, mode: check_negform(ps[0], n.conclusion, n.params)),
+    "negrefl": (1, 1, lambda n, ps, mode: check_negrefl(ps[0], n.conclusion, n.params)),
+    "cut": (2, 2, lambda n, ps, mode: check_cut(ps[0], ps[1], n.conclusion, mode, n.params)),
+    "atform": (2, 2, lambda n, ps, mode: check_atform(ps, n.conclusion, n.params)),
+    "atimplrefl": (1, 1, lambda n, ps, mode: check_atimplrefl(ps[0], n.conclusion, n.params)),
+    "atexplrefl": (2, 2, lambda n, ps, mode: check_atexplrefl(ps, n.conclusion)),
+    "semidistrib": (1, 1, lambda n, ps, mode: check_semidistrib(ps[0], n.conclusion, n.params)),
+    "qsplit": (1, 3, lambda n, ps, mode: check_qsplit(ps, n.conclusion, n.params)),
+    "hrule": (1, 1, lambda n, ps, mode: check_hrule(ps[0], n.conclusion)),
+    "hinverse": (1, 1, lambda n, ps, mode: check_hinverse(ps[0], n.conclusion)),
+    "cnot": (1, 1, lambda n, ps, mode: check_cnot(ps[0], n.conclusion, n.params)),
+    "epr": (2, 2, lambda n, ps, mode: check_epr(ps[0], ps[1], n.conclusion, mode)),
+    "parallel": (2, 2, lambda n, ps, mode: check_parallel(ps, n.conclusion, n.params)),
+}
+
+RULES = frozenset(_RULE_TABLE)
+
+
 def check_node(node: Derivation, mode: LogicMode) -> Verdict:
     rule = node.rule
     if rule not in RULES:
         return _fail("UnknownRule", f"no rule named {rule!r} exists in this calculus")
-    lo, hi = RULE_ARITY[rule]
+    lo, hi, checker = _RULE_TABLE[rule]
     if not lo <= len(node.premises) <= hi:
         return _fail("BranchFailure",
                      f"{rule} expects {lo if lo == hi else f'{lo}..{hi}'} "
                      f"premise(s), got {len(node.premises)}")
-    ps = tuple(p.conclusion for p in node.premises)
-    c = node.conclusion
-    if rule == "premise":
-        return Verdict.passed("hypothesis")
-    if rule == "axiom":
-        return check_axiom(node)
-    if rule == "ataxiom":
-        return check_ataxiom(node)
-    if rule == "andform":
-        return check_andform(ps, c)
-    if rule == "andrefl":
-        return check_andrefl(ps[0], c, mode)
-    if rule == "parform":
-        return check_parform(ps[0], c, node.params)
-    if rule == "negform":
-        return check_negform(ps[0], c, node.params)
-    if rule == "negrefl":
-        return check_negrefl(ps[0], c, node.params)
-    if rule == "cut":
-        return check_cut(ps[0], ps[1], c, mode, node.params)
-    if rule == "atform":
-        return check_atform(ps, c, node.params)
-    if rule == "atimplrefl":
-        return check_atimplrefl(ps[0], c, node.params)
-    if rule == "atexplrefl":
-        return check_atexplrefl(ps, c)
-    if rule == "semidistrib":
-        return check_semidistrib(ps[0], c, node.params)
-    if rule == "qsplit":
-        return check_qsplit(ps, c, node.params)
-    if rule == "hrule":
-        return check_hrule(ps[0], c)
-    if rule == "hinverse":
-        return check_hinverse(ps[0], c)
-    if rule == "cnot":
-        return check_cnot(ps[0], c, node.params)
-    if rule == "epr":
-        return check_epr(ps[0], ps[1], c, mode)
-    if rule == "parallel":
-        return check_parallel(ps, c, node.params)
-    raise AssertionError(f"unhandled rule {rule}")
+    return checker(node, tuple(p.conclusion for p in node.premises), mode)
+
+
+def postorder(tree: Derivation,
+              labels: Optional[dict] = None) -> Iterator[Tuple[Derivation, str]]:
+    """Every distinct node of a derivation once, premises first, with its path.
+
+    Premises come left to right, and a premise shared by several parents
+    comes where the pre-order walk first reaches it.  The path is the
+    node's label when ``labels`` (keyed by node identity) has one, else
+    its tree path at that first visit: premise indices joined by dots,
+    ``"root"`` for the root.  The walk keeps its own stack, so the depth
+    of a derivation is bounded only by memory.
+    """
+    seen = {id(tree)}
+    path = ""  # tree path of the node on top of the stack
+    # each frame: a node, its premises still to visit, the length of its
+    # parent's path (one path string, cut back on the way up, keeps the
+    # memory linear in the depth)
+    stack = [(tree, enumerate(tree.premises), 0)]
+    while stack:
+        node, premises, cut = stack[-1]
+        for i, premise in premises:
+            if id(premise) not in seen:
+                seen.add(id(premise))
+                stack.append((premise, enumerate(premise.premises), len(path)))
+                path = f"{path}.{i}" if path else str(i)
+                break
+        else:
+            stack.pop()
+            if labels and id(node) in labels:
+                yield node, str(labels[id(node)])
+            else:
+                yield node, path or "root"
+            path = path[:cut]
 
 
 def check_derivation(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
@@ -823,36 +819,17 @@ def check_derivation(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
     Verdicts are aggregated, never raised.
     """
     entries: list[NodeEntry] = []
-    failed_paths: dict[int, str] = {}
-    seen: set[int] = set()
-
-    def path_of(node: Derivation, tree_path: str) -> str:
-        if labels and id(node) in labels:
-            return str(labels[id(node)])
-        return tree_path or "root"
-
-    def walk(node: Derivation, tree_path: str) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for i, premise in enumerate(node.premises):
-            walk(premise, f"{tree_path}.{i}" if tree_path else str(i))
-        p = path_of(node, tree_path)
+    failed_paths: dict[int, str] = {}  # node -> first failed path in its subtree
+    for node, p in postorder(tree, labels):
+        failed = next((failed_paths[id(x)] for x in node.premises
+                       if id(x) in failed_paths), None)
         verdict = check_node(node, mode)
-        if verdict.ok and node.rule in ("parallel", "epr"):
-            bad = [failed_paths[id(x)] for x in node.premises
-                   if id(x) in failed_paths]
-            if bad:
-                verdict = _fail("BranchFailure", f"branch at {bad[0]} failed")
+        if verdict.ok and failed is not None and node.rule in ("parallel", "epr"):
+            verdict = _fail("BranchFailure", f"branch at {failed} failed")
         entries.append(NodeEntry(p, node.rule, node.conclusion, verdict, node))
-        if not verdict.ok or id(node) in failed_paths:
+        if not verdict.ok:
             failed_paths[id(node)] = p
-        else:
-            for x in node.premises:
-                if id(x) in failed_paths:
-                    failed_paths[id(node)] = failed_paths[id(x)]
-                    break
-
-    walk(tree, "")
+        elif failed is not None:
+            failed_paths[id(node)] = failed
     return CheckReport(all(e.verdict.ok for e in entries),
                        mode, entries)

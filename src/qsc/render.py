@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .kernel import Derivation
+from .kernel import Derivation, postorder
 from .syntax import Formula, formula_str, formula_wires, sequent_str
 
 _DISPLAY = {
@@ -65,42 +65,23 @@ def _param_text(node: Derivation) -> str:
     return f"[{', '.join(parts)}]"
 
 
-def _collect_wires(node: Derivation, seen: set, order: List[str]) -> None:
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    for p in node.premises:
-        _collect_wires(p, seen, order)
-    formulas = list(node.conclusion.antecedent) + list(node.conclusion.consequent)
-    formulas.extend(p for p in node.params if isinstance(p, Formula))
-    for f in formulas:
-        for w in formula_wires(f):
-            if w not in order:
-                order.append(w)
-
-
 def render_linear(tree: Derivation, name: str = "t") -> str:
     """Emit a complete script whose single theorem rebuilds the tree."""
-    wires: List[str] = []
-    _collect_wires(tree, set(), wires)
+    wires: set = set()
     numbering: Dict[int, int] = {}
     lines: List[str] = []
-
-    def walk(node: Derivation) -> int:
-        if id(node) in numbering:
-            return numbering[id(node)]
-        refs = [walk(p) for p in node.premises]
+    for node, _ in postorder(tree):
         i = len(numbering) + 1
         numbering[id(node)] = i
         stated = sequent_str(node.conclusion)
         if node.rule == "premise":
             lines.append(f"  {i}: {stated} premise")
         else:
-            refs_text = ", ".join(str(r) for r in refs)
+            refs_text = ", ".join(str(numbering[id(p)]) for p in node.premises)
             lines.append(f"  {i}: {stated} by {node.rule}{_param_text(node)}({refs_text})")
-        return i
-
-    walk(tree)
+        for f in node.conclusion.antecedent + node.conclusion.consequent + node.params:
+            if isinstance(f, Formula):
+                wires.update(formula_wires(f))
     atoms = " ".join(sorted(wires)) if wires else "A"
     return f"atoms {atoms}\n\ntheorem {name}:\n" + "\n".join(lines) + "\nqed\n"
 
@@ -115,28 +96,33 @@ def _stack(blocks: List[List[str]], gap: int = 4) -> List[str]:
     for b, w in zip(blocks, widths):
         rows = [" " * w] * (height - len(b)) + [line.ljust(w) for line in b]
         padded.append(rows)
-    joined = []
-    for row in range(height):
-        joined.append((" " * gap).join(p[row] for p in padded).rstrip())
-    return joined
+    return [(" " * gap).join(row).rstrip() for row in zip(*padded)]
 
 
 def _center(line: str, width: int) -> str:
-    pad = max(width - len(line), 0)
-    left = pad // 2
-    return " " * left + line
+    return " " * ((width - len(line)) // 2) + line
 
 
-def _ascii_block(node: Derivation) -> List[str]:
+def _ascii_block(node: Derivation, premise_blocks: List[List[str]]) -> List[str]:
+    """The node's block, drawn under the blocks of its premises."""
     conclusion = sequent_str(node.conclusion)
     if not node.premises:
         return [f"{conclusion}   [{rule_label(node)}]"]
-    above = _stack([_ascii_block(p) for p in node.premises])
-    width = max(max(len(line) for line in above), len(conclusion))
+    above = _stack(premise_blocks)
+    width = max(max(map(len, above)), len(conclusion))
     bar = "-" * width + f" {rule_label(node)}"
-    lines = [_center(line, width) if len(line) < width else line for line in above]
-    return lines + [bar, _center(conclusion, width)]
+    return [_center(line, width) for line in above] + [bar, _center(conclusion, width)]
 
 
 def render_ascii(tree: Derivation) -> str:
-    return "\n".join(line.rstrip() for line in _ascii_block(tree)) + "\n"
+    # A shared premise is drawn again under each parent.  Its block is kept
+    # only until the last parent that draws it is built.
+    nodes = [node for node, _ in postorder(tree)]
+    last_parent = {id(p): node for node in nodes for p in node.premises}
+    blocks: Dict[int, List[str]] = {}
+    for node in nodes:
+        blocks[id(node)] = _ascii_block(node, [blocks[id(p)] for p in node.premises])
+        for p in node.premises:
+            if last_parent[id(p)] is node:
+                blocks.pop(id(p), None)
+    return "\n".join(line.rstrip() for line in blocks[id(tree)]) + "\n"

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import Derivation, LogicMode
+from .kernel import Derivation, LogicMode, postorder
 from .syntax import (
     SQRT1_2,
     And,
@@ -41,7 +41,6 @@ from .syntax import (
 )
 
 DEFAULT_TOL = 1e-9
-EXACT_TOL = 1e-12
 
 
 class WireMismatch(Exception):
@@ -153,10 +152,6 @@ def align(state: QState, wires: Sequence[str]) -> QState:
     return QState(wires, amps, state.scale)
 
 
-def states_close(a: QState, b: QState, tol: float = DEFAULT_TOL) -> bool:
-    return residual(a, b) <= tol
-
-
 def residual(predicted: QState, actual: QState) -> float:
     """Norm distance after normalization, wire alignment and phase alignment."""
     b = align(actual, predicted.wires)
@@ -199,7 +194,6 @@ def entanglement_entropy(state: QState, wire: str) -> float:
 # Operators
 
 H_MATRIX = SQRT1_2 * np.array([[1, 1], [1, -1]], dtype=complex)
-H_INV_MATRIX = H_MATRIX  # Hadamard is self-inverse
 M0_MATRIX = np.array([[1, 0], [0, 0]], dtype=complex)
 M1_MATRIX = np.array([[0, 0], [0, 1]], dtype=complex)
 MC_MATRIX = M0_MATRIX + M1_MATRIX          # Cat-mirror: the identity on C^2
@@ -229,10 +223,6 @@ class Operator:
 
 def hadamard(wire: str) -> Operator:
     return Operator("H", (wire,), H_MATRIX)
-
-
-def hadamard_inverse(wire: str) -> Operator:
-    return Operator("H_inv", (wire,), H_INV_MATRIX)
 
 
 def cnot(control: str, target: str) -> Operator:
@@ -463,14 +453,7 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
     measurement side of the turnstile carry no state and are skipped.
     """
     check_bindings(bindings, tol)
-    entries: list[SoundnessEntry] = []
     denotations: dict[int, Optional[QState]] = {}
-    seen: set[int] = set()
-
-    def path_of(node: Derivation, tree_path: str) -> str:
-        if labels and id(node) in labels:
-            return str(labels[id(node)])
-        return tree_path or "root"
 
     def actual_of(node: Derivation) -> Optional[QState]:
         try:
@@ -524,42 +507,33 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
             branch = str(node.params[0]) if node.params else "pos"
             qubits = [normalize(f) for f in ps[0].conclusion.consequent]
             wires = [q.name for q in qubits if isinstance(q, Qubit) and q.degrees is None]
+            if len(node.params) > 1:  # the wire is named, as the kernel reads it
+                wires = [w for w in wires if w == str(node.params[1])]
             op = projector(wires[0], 0 if branch == "neg" else 1)
             return apply(op, src).normalized(), ""
         return None, f"rule {rule} has no state semantics"
 
-    def walk(node: Derivation, tree_path: str) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for i, premise in enumerate(node.premises):
-            walk(premise, f"{tree_path}.{i}" if tree_path else str(i))
-        p = path_of(node, tree_path)
+    def entry(node: Derivation, p: str) -> SoundnessEntry:
         actual = None
         try:
             actual = actual_of(node)
-            if actual is None:
-                denotations[id(node)] = None
-                entries.append(SoundnessEntry(p, node.rule, "nonsemantic", None,
-                                              "conclusion carries no state"))
-                return
             denotations[id(node)] = actual
+            if actual is None:
+                return SoundnessEntry(p, node.rule, "nonsemantic", None,
+                                      "conclusion carries no state")
             if node.rule in ("premise", "axiom", "ataxiom"):
-                entries.append(SoundnessEntry(p, node.rule, "assumption", 0.0))
-                return
+                return SoundnessEntry(p, node.rule, "assumption", 0.0)
             predicted, note = predict(node)
             if predicted is None:
-                entries.append(SoundnessEntry(p, node.rule, "nonsemantic", None, note))
-                return
-            r = residual(predicted, actual)
-            entries.append(SoundnessEntry(p, node.rule, "state", r))
+                return SoundnessEntry(p, node.rule, "nonsemantic", None, note)
+            return SoundnessEntry(p, node.rule, "state", residual(predicted, actual))
         except (WireMismatch, ZeroState, UnboundSymbolicDegree,
                 NotAMeasurementShape, NotNormalized) as exc:
             denotations[id(node)] = actual
-            entries.append(SoundnessEntry(p, node.rule, "error", None,
-                                          f"{type(exc).__name__}: {exc}"))
+            return SoundnessEntry(p, node.rule, "error", None,
+                                  f"{type(exc).__name__}: {exc}")
 
-    walk(tree, "")
+    entries = [entry(node, p) for node, p in postorder(tree, labels)]
     residuals = [e.residual for e in entries if e.kind == "state"]
     max_residual = max(residuals) if residuals else 0.0
     ok = (max_residual <= tol

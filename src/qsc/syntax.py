@@ -14,7 +14,7 @@ sequent: contraction and weakening simply cannot be expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 # Amplitudes closer than this count as the same degree; 1/sqrt(2) is
 # irrational, so every concrete degree is a float approximation anyway.
@@ -158,10 +158,6 @@ class Sequent:
     antecedent: Tuple[Formula, ...] = ()
     consequent: Tuple[Formula, ...] = ()
     degree: Optional[Degree] = None
-
-
-def seq(antecedent=(), consequent=(), degree=None) -> Sequent:
-    return Sequent(tuple(antecedent), tuple(consequent), degree)
 
 
 def negate(f: Formula) -> Formula:
@@ -313,13 +309,6 @@ def formula_wires(f: Formula) -> Tuple[str, ...]:
 
     walk(f)
     return tuple(seen)
-
-
-def iter_subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, (And, Par, Ent)):
-        yield from iter_subformulas(f.left)
-        yield from iter_subformulas(f.right)
 
 
 # ---------------------------------------------------------------------------

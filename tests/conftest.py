@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from qsc.kernel import Derivation
 from qsc.syntax import (
     NULL,
+    SQRT1_2,
     And,
     Atom,
     Ent,
@@ -61,6 +62,23 @@ def formulas(max_depth: int = 3):
         )
 
     return st.recursive(base, extend, max_leaves=2 ** max_depth)
+
+
+# ---------------------------------------------------------------------------
+# Deep derivations
+
+def hadamard_chain(steps: int) -> str:
+    """Script of one theorem: the bit A^, then ``steps`` alternating H, H^-1.
+
+    Each step's only premise is the step before, so the derivation is a
+    path ``steps + 1`` nodes deep.
+    """
+    cat = f"A^ &{{{SQRT1_2!r}, {SQRT1_2!r}}} A"
+    lines = ["atoms A", "theorem chain:", "  1: |- A^ premise"]
+    for i in range(1, steps + 1):
+        rule, stated = ("hrule", cat) if i % 2 else ("hinverse", "A^")
+        lines.append(f"  {i + 1}: |- {stated} by {rule}({i})")
+    return "\n".join(lines + ["qed", ""])
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,14 @@ class TestVerify:
         code, out, _ = run("verify", str(DATA / "offbydelta.qsc"), "--tol", "1e-12")
         assert code == 1 and "residual breach" in out
 
+    def test_qsplit_projects_the_named_wire(self, tmp_path):
+        script = tmp_path / "qsplit-wire.qsc"
+        script.write_text("atoms A B\ntheorem t:\n  1: |- Q_A, Q_B premise\n"
+                          "  2: |- Q_A, B by qsplit[pos, B](1)\nqed\n")
+        assert run("check", str(script))[0] == 0
+        code, out, _ = run("verify", str(script), "--format", "machine")
+        assert code == 0 and "verify\tt:2\tqsplit\tstate\t0.000e+00" in out
+
 
 class TestRender:
     def test_ascii(self):

@@ -1,0 +1,80 @@
+"""Derivations far deeper than the interpreter's recursion limit.
+
+Every walk over a derivation goes through ``kernel.postorder``, which keeps
+its own stack; these chains are deeper than the default limit of 1,000
+frames, and the tests leave that limit as it is.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from conftest import hadamard_chain
+from qsc.kernel import LogicMode, check_derivation, postorder
+from qsc.parser import parse_script, script_labels
+from qsc.render import render_ascii, render_linear
+from qsc.semantics import verify_soundness
+
+SRC = pathlib.Path(__file__).parents[1] / "src"
+
+
+def flat(tree):
+    """The tree as a list in post-order, each premise named by its position."""
+    position = {}
+    nodes = []
+    for node, _ in postorder(tree):
+        position[id(node)] = len(position)
+        nodes.append((node.rule, node.conclusion, node.params,
+                      tuple(position[id(p)] for p in node.premises)))
+    return nodes
+
+
+@pytest.fixture(scope="module")
+def long_chain():
+    return parse_script(hadamard_chain(10_000))
+
+
+def test_long_chain_checks(long_chain):
+    report = check_derivation(long_chain.theorems[0].derivation, LogicMode.BASIC,
+                              script_labels(long_chain))
+    assert report.ok and len(report.entries) == 10_001
+    assert report.entries[0].path == "chain:1" and report.entries[-1].path == "chain:10001"
+
+
+def test_long_chain_verifies(long_chain):
+    report = verify_soundness(long_chain.theorems[0].derivation, LogicMode.BASIC,
+                              labels=script_labels(long_chain))
+    assert report.ok and report.max_residual <= 1e-9
+    assert [e.kind for e in report.entries].count("state") == 10_000
+
+
+def test_long_chain_linear_render_parses_back(long_chain):
+    tree = long_chain.theorems[0].derivation
+    reparsed = parse_script(render_linear(tree)).theorems[0].derivation
+    assert flat(reparsed) == flat(tree)
+
+
+def test_chain_ascii_render_has_two_lines_per_step():
+    depth = 600
+    tree = parse_script(hadamard_chain(depth)).theorems[0].derivation
+    lines = render_ascii(tree).splitlines()
+    assert len(lines) == 2 * depth + 1
+    assert lines[0].strip() == "|- A^   [premise]" and lines[-1].strip() == "|- A^"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["verify"], ["render", "--style", "linear"]],
+                         ids=["check", "verify", "render-linear"])
+def test_cli_on_a_deep_chain(tmp_path, argv):
+    script = tmp_path / "chain.qsc"
+    script.write_text(hadamard_chain(1_200))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qsc.cli", *argv, str(script)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr

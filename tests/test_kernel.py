@@ -24,7 +24,7 @@ from qsc.kernel import (
     check_semidistrib,
 )
 from qsc.parser import parse_script, parse_sequent, script_labels
-from qsc.syntax import Atom, Qubit, seq
+from qsc.syntax import Atom, Qubit, Sequent
 
 BASIC = LogicMode.BASIC
 INTU = LogicMode.INTUITIONISTIC_LEFT
@@ -350,7 +350,7 @@ class TestCheckDerivation:
         assert bad[0].rule == "cut" and bad[0].verdict.code == "BranchFailure"
 
     def test_unknown_rule_verdict(self):
-        node = Derivation("contraction", seq((), (Atom("A"),)))
+        node = Derivation("contraction", Sequent((), (Atom("A"),)))
         assert check_node(node, BASIC).code == "UnknownRule"
 
     def test_parallel_reports_failing_branch(self):
