@@ -58,13 +58,26 @@ class Derivation:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A rule check's outcome.
+
+    On a pass, ``action`` is the rule instance the checker matched, as the
+    state-vector replay reads it: ``("keep",)`` passes the first premise's
+    state on, ``("join",)`` joins the two premises' states as branches,
+    ``("cut",)`` measures the first premise's state with the projector the
+    second premise denotes, ``("gate", name, wires)`` applies the gate
+    ``"H"`` or ``"CNOT"`` to the first premise's state, and
+    ``("project", wires, bit)`` projects it onto ``bit`` on every one of
+    ``wires``.  Leaves and rules without a state reading carry ``()``.
+    """
+
     ok: bool
     code: str = "ok"
     message: str = ""
+    action: tuple = ()
 
     @staticmethod
-    def passed(message: str = "") -> "Verdict":
-        return Verdict(True, "ok", message)
+    def passed(message: str = "", action: tuple = ()) -> "Verdict":
+        return Verdict(True, "ok", message, action)
 
     @staticmethod
     def failed(code: str, message: str) -> "Verdict":
@@ -91,10 +104,13 @@ def _fail(code: str, message: str) -> Verdict:
     return Verdict.failed(code, message)
 
 
+_KEEP, _JOIN, _CUT = ("keep",), ("join",), ("cut",)
+
+
 def _conclusion_check(stated: Sequent, expected: Sequent,
-                      code: str = "ConclusionMismatch") -> Verdict:
+                      code: str = "ConclusionMismatch", action: tuple = ()) -> Verdict:
     if sequent_equivalent(stated, expected):
-        return Verdict.passed()
+        return Verdict.passed(action=action)
     return _fail(code, f"stated '{sequent_str(stated)}' does not match "
                        f"schema conclusion '{sequent_str(expected)}'")
 
@@ -169,10 +185,10 @@ def check_andform(premises: Tuple[Sequent, Sequent], conclusion: Sequent) -> Ver
         joined = And(p1.consequent[i], p2.consequent[i], degrees)
         expected = Sequent(p1.antecedent, _splice(p1.consequent, i, (joined,)))
         if sequent_equivalent(conclusion, expected):
-            return Verdict.passed()
+            return Verdict.passed(action=_JOIN)
     joined = And(p1.consequent[candidates[0]], p2.consequent[candidates[0]], degrees)
     expected = Sequent(p1.antecedent, _splice(p1.consequent, candidates[0], (joined,)))
-    return _conclusion_check(conclusion, expected)
+    return _conclusion_check(conclusion, expected, action=_JOIN)
 
 
 def check_andrefl(premise: Sequent, conclusion: Sequent, mode: LogicMode) -> Verdict:
@@ -226,7 +242,7 @@ def check_parform(premise: Sequent, conclusion: Sequent,
                            premise.consequent[:i] + (joined,) + premise.consequent[i + 2:],
                            premise.degree)
         if sequent_equivalent(conclusion, expected):
-            return Verdict.passed()
+            return Verdict.passed(action=_KEEP)
     return _fail("ConclusionMismatch",
                  "conclusion does not join two adjacent consequent formulas with #")
 
@@ -348,7 +364,7 @@ def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
                         expected = Sequent(left.antecedent,
                                            _splice(left.consequent, i, (collapsed,)),
                                            right.degree)
-                        return _conclusion_check(conclusion, expected)
+                        return _conclusion_check(conclusion, expected, action=_CUT)
 
     # Standard cut.
     if cut_formula is None:
@@ -374,7 +390,7 @@ def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
     expected = Sequent(left.antecedent + context,
                        _splice(left.consequent, left_pos, right.consequent),
                        degree)
-    return _conclusion_check(conclusion, expected)
+    return _conclusion_check(conclusion, expected, action=_CUT)
 
 
 def _check_bell_cut(left: Sequent, right: Sequent, conclusion: Sequent,
@@ -400,29 +416,28 @@ def _check_bell_cut(left: Sequent, right: Sequent, conclusion: Sequent,
             consequent[i] = collapsed
             del consequent[j]
             expected = Sequent(left.antecedent, tuple(consequent), right.degree)
-            return _conclusion_check(conclusion, expected)
+            return _conclusion_check(conclusion, expected, action=_CUT)
     return None
 
 
 # ---------------------------------------------------------------------------
 # Entanglement connective rules
 
-def atform_convention(p1: Sequent, p2: Sequent) -> Optional[str]:
-    """Which pairing the @-formation premises use: matching polarities
-    ('phi') or opposite polarities ('psi'); None if they pair up neither way.
-    """
+def _pairs_as_phi(p1: Sequent, p2: Sequent) -> bool:
+    """Whether the @-formation premises assert complementary literal pairs
+    of matching polarities, the one reading ('phi') of the @ connective."""
     if len(p1.consequent) != 2 or len(p2.consequent) != 2:
-        return None
+        return False
     lits = [(_literal(p1.consequent[0]), _literal(p1.consequent[1])),
             (_literal(p2.consequent[0]), _literal(p2.consequent[1]))]
     if any(x is None for pair in lits for x in pair):
-        return None
+        return False
     (x1, y1), (x2, y2) = lits
     if x1.name != x2.name or y1.name != y2.name or x1.name == y1.name:
-        return None
+        return False
     if x1.negated == x2.negated or y1.negated == y2.negated:
-        return None
-    return "phi" if x1.negated == y1.negated else "psi"
+        return False
+    return x1.negated == y1.negated
 
 
 def check_atform(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
@@ -437,13 +452,12 @@ def check_atform(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
                          "of the @-formation premises")
         if len(p.consequent) < 2:
             return _fail("SchemaMismatch", "@-formation premises assert a pair")
-    convention = atform_convention(p1, p2)
-    if convention is None:
+    if not _pairs_as_phi(p1, p2):
         return _fail("SchemaMismatch",
-                     "premises must assert complementary literal pairs")
-    if params and str(params[0]) not in ("", convention):
-        return _fail("SchemaMismatch",
-                     f"premises pair as {convention}, not {params[0]}")
+                     "premises must assert complementary literal pairs "
+                     "of matching polarities (phi)")
+    if params and str(params[0]) not in ("", "phi"):
+        return _fail("SchemaMismatch", f"@ has the phi reading only, not {params[0]}")
     if (p1.degree is None) != (p2.degree is None):
         return _fail("DegreeMismatch", "either both premises carry a degree or neither")
     x1 = _literal(p1.consequent[0])
@@ -467,7 +481,7 @@ def check_atform(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
     for cand in candidates:
         expected = Sequent(p1.antecedent, (cand,))
         if sequent_equivalent(conclusion, expected):
-            return Verdict.passed(f"convention={convention}")
+            return Verdict.passed("convention=phi", _JOIN)
     return _conclusion_check(conclusion, Sequent(p1.antecedent, (candidates[0],)))
 
 
@@ -497,12 +511,13 @@ def check_atimplrefl(premise: Sequent, conclusion: Sequent,
         expected = Sequent(premise.antecedent,
                            (Atom(lw, negated), Atom(rw, negated)),
                            premise.degree)
+    action = ("project", tuple(a.name for a in expected.consequent), int(not negated))
     if sequent_equivalent(conclusion, expected):
-        return Verdict.passed()
+        return Verdict.passed(action=action)
     swapped = Sequent(expected.antecedent,
                       (expected.consequent[1], expected.consequent[0]),
                       expected.degree)
-    return _conclusion_check(conclusion, swapped)
+    return _conclusion_check(conclusion, swapped, action=action)
 
 
 def check_atexplrefl(premises: Tuple[Sequent, Sequent],
@@ -540,7 +555,7 @@ def check_semidistrib(premise: Sequent, conclusion: Sequent,
     expected = Sequent(premise.antecedent,
                        _splice(premise.consequent, i, (lit, partner)),
                        premise.degree)
-    return _conclusion_check(conclusion, expected, "SchemaMismatch")
+    return _conclusion_check(conclusion, expected, "SchemaMismatch", _KEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +601,8 @@ def check_qsplit(premises: Tuple[Sequent, ...], conclusion: Sequent,
     expected = Sequent(source.antecedent,
                        _splice(source.consequent, i, (outcome,)),
                        source.degree)
-    return _conclusion_check(conclusion, expected, "SchemaMismatch")
+    return _conclusion_check(conclusion, expected, "SchemaMismatch",
+                             ("project", (qubit.name,), int(not outcome.negated)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +631,7 @@ def check_hrule(premise: Sequent, conclusion: Sequent) -> Verdict:
         return _fail("WrongDegrees",
                      f"H maps |{'0' if lit.negated else '1'}> to degrees "
                      f"({target[0].real:+.6f}, {target[1].real:+.6f})")
-    return Verdict.passed()
+    return Verdict.passed(action=("gate", "H", (lit.name,)))
 
 
 def check_hinverse(premise: Sequent, conclusion: Sequent) -> Verdict:
@@ -631,7 +647,8 @@ def check_hinverse(premise: Sequent, conclusion: Sequent) -> Verdict:
         outcome = Atom(stated.name, negated=False)
     else:
         return _fail("WrongDegrees", "premise is neither the |+> nor the |-> cat state")
-    return _conclusion_check(conclusion, Sequent((), (outcome,)), "SchemaMismatch")
+    return _conclusion_check(conclusion, Sequent((), (outcome,)), "SchemaMismatch",
+                             ("gate", "H", (stated.name,)))
 
 
 _CNOT_CLAUSES = {
@@ -662,7 +679,8 @@ def check_cnot(premise: Sequent, conclusion: Sequent,
     # control true (|1>, positive literal) flips the target
     new_target = negate(target) if not control.negated else target
     expected = Sequent((), (control, new_target))
-    return _conclusion_check(conclusion, expected, "SchemaMismatch")
+    return _conclusion_check(conclusion, expected, "SchemaMismatch",
+                             ("gate", "CNOT", (control.name, target.name)))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +728,7 @@ def check_epr(left: Sequent, right: Sequent, conclusion: Sequent,
     sub = check_parform(mid2, final, ())
     if not sub.ok:
         return _fail(sub.code, f"par formation step: {sub.message}")
-    return _conclusion_check(conclusion, final)
+    return _conclusion_check(conclusion, final, action=_CUT)
 
 
 # ---------------------------------------------------------------------------

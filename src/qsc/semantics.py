@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import Derivation, LogicMode, postorder
+from .kernel import Derivation, LogicMode, NodeEntry, check_derivation
 from .syntax import (
     SQRT1_2,
     And,
@@ -35,12 +35,13 @@ from .syntax import (
     Sequent,
     SymDegree,
     formula_str,
-    formula_wires,
     normalize,
     sequent_str,
 )
 
 DEFAULT_TOL = 1e-9
+# The widest state built: 2**16 complex amplitudes take 1 MiB.
+MAX_WIRES = 16
 
 
 class WireMismatch(Exception):
@@ -92,16 +93,14 @@ def check_bindings(bindings: Optional[Dict[str, complex]],
 
 @dataclass
 class QState:
-    """A labeled state vector with an explicit global scale factor.
+    """A labeled state vector.
 
     ``amps`` has length 2**len(wires); wire k is the k-th most significant
-    bit of the basis index.  The scale keeps unnormalized intermediates
-    (branch states, projections) representable without losing track.
+    bit of the basis index.
     """
 
     wires: Tuple[str, ...]
     amps: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex)
@@ -112,16 +111,16 @@ class QState:
             raise WireMismatch(f"duplicate wire names in {self.wires}")
 
     def vector(self) -> np.ndarray:
-        return self.amps * self.scale
+        return self.amps
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vector()))
+        return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "QState":
         n = self.norm()
         if n < 1e-15:
             raise ZeroState("cannot normalize the zero state")
-        return QState(self.wires, self.vector() / n, 1.0)
+        return QState(self.wires, self.amps / n)
 
 
 def basis_state(wires: Sequence[str], bits: Sequence[int]) -> QState:
@@ -136,7 +135,10 @@ def basis_state(wires: Sequence[str], bits: Sequence[int]) -> QState:
 def tensor(a: QState, b: QState) -> QState:
     if set(a.wires) & set(b.wires):
         raise WireMismatch(f"overlapping wires {set(a.wires) & set(b.wires)}")
-    return QState(a.wires + b.wires, np.kron(a.amps, b.amps), a.scale * b.scale)
+    n = len(a.wires) + len(b.wires)
+    if n > MAX_WIRES:
+        raise WireMismatch(f"{n} wires exceed the cap of {MAX_WIRES}")
+    return QState(a.wires + b.wires, np.outer(a.amps, b.amps).ravel())
 
 
 def align(state: QState, wires: Sequence[str]) -> QState:
@@ -149,13 +151,13 @@ def align(state: QState, wires: Sequence[str]) -> QState:
     n = len(wires)
     perm = [state.wires.index(w) for w in wires]
     amps = state.amps.reshape([2] * n).transpose(perm).reshape(-1)
-    return QState(wires, amps, state.scale)
+    return QState(wires, amps)
 
 
 def residual(predicted: QState, actual: QState) -> float:
     """Norm distance after normalization, wire alignment and phase alignment."""
     b = align(actual, predicted.wires)
-    vp, vb = predicted.vector(), b.vector()
+    vp, vb = predicted.amps, b.amps
     np_, nb = np.linalg.norm(vp), np.linalg.norm(vb)
     if np_ < 1e-15 or nb < 1e-15:
         return 0.0 if (np_ < 1e-15 and nb < 1e-15) else 1.0
@@ -169,7 +171,7 @@ def residual(predicted: QState, actual: QState) -> float:
 def fidelity(a: QState, b: QState) -> float:
     """|<a|b>|^2 after normalization and wire alignment, clipped to [0, 1]."""
     b = align(b, a.wires)
-    va, vb = a.vector(), b.vector()
+    va, vb = a.amps, b.amps
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na < 1e-15 or nb < 1e-15:
         raise ZeroState("fidelity of a zero state is undefined")
@@ -262,21 +264,19 @@ def apply(op: Operator, state: QState) -> QState:
     t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), axes))
     # tensordot moved the operator wires to the front; put them back
     t = np.moveaxis(t, list(range(k)), axes)
-    return QState(state.wires, t.reshape(-1), state.scale)
+    return QState(state.wires, t.reshape(-1))
 
 
 def combine_parallel(left: QState, right: QState) -> QState:
     """Denotation of a two-branch join: (1/sqrt2) (left + right)."""
     right = align(right, left.wires)
-    amps = SQRT1_2 * (left.vector() + right.vector())
-    return QState(left.wires, amps, 1.0)
+    return QState(left.wires, SQRT1_2 * (left.amps + right.amps))
 
 
 # ---------------------------------------------------------------------------
 # Denotations
 
-def denote_formula(f: Formula, bindings: Optional[Dict[str, complex]] = None,
-                   at_convention: str = "phi") -> QState:
+def denote_formula(f: Formula, bindings: Optional[Dict[str, complex]] = None) -> QState:
     if isinstance(f, Atom):
         return basis_state((f.name,), (0 if f.negated else 1,))
     if isinstance(f, Null):
@@ -289,28 +289,29 @@ def denote_formula(f: Formula, bindings: Optional[Dict[str, complex]] = None,
             d1 = resolve_degree(f.degrees[1], bindings)
         return QState((f.name,), np.array([d0, d1], dtype=complex))
     if isinstance(f, Par):
-        return tensor(denote_formula(f.left, bindings, at_convention),
-                      denote_formula(f.right, bindings, at_convention))
+        return tensor(denote_formula(f.left, bindings),
+                      denote_formula(f.right, bindings))
     if isinstance(f, And):
         if f.degrees is None:
             dl, dr = complex(SQRT1_2), complex(SQRT1_2)
         else:
             dl = resolve_degree(f.degrees[0], bindings)
             dr = resolve_degree(f.degrees[1], bindings)
-        left = denote_formula(f.left, bindings, at_convention)
-        right = denote_formula(f.right, bindings, at_convention)
-        if not left.wires and not left.vector().any():
-            return QState(right.wires, dr * right.vector())
-        if not right.wires and not right.vector().any():
-            return QState(left.wires, dl * left.vector())
+        left = denote_formula(f.left, bindings)
+        right = denote_formula(f.right, bindings)
+        if not left.wires and not left.amps.any():
+            return QState(right.wires, dr * right.amps)
+        if not right.wires and not right.amps.any():
+            return QState(left.wires, dl * left.amps)
         right = align(right, left.wires)
-        return QState(left.wires, dl * left.vector() + dr * right.vector())
+        return QState(left.wires, dl * left.amps + dr * right.amps)
     if isinstance(f, Ent):
-        return _denote_ent(f, bindings, at_convention)
+        return _denote_ent(f, bindings)
     raise NonDenotableSequent(f"no denotation for {formula_str(f)}")
 
 
-def _denote_ent(f: Ent, bindings, at_convention: str) -> QState:
+def _denote_ent(f: Ent, bindings) -> QState:
+    """The phi reading: d0 |00> + d1 |11> on the two parties' wires."""
     left, right = f.left, f.right
     if isinstance(left, Atom) or isinstance(right, Atom):
         lit, qubit = (left, right) if isinstance(left, Atom) else (right, left)
@@ -329,27 +330,13 @@ def _denote_ent(f: Ent, bindings, at_convention: str) -> QState:
     else:
         d0 = resolve_degree(degrees[0], bindings)
         d1 = resolve_degree(degrees[1], bindings)
-    anchored_right = dl is None and dr is not None
-    wires = (left.name, right.name)
     amps = np.zeros(4, dtype=complex)
-    if at_convention == "phi":
-        amps[0b00] = d0
-        amps[0b11] = d1
-    elif at_convention == "psi":
-        # d0 multiplies the branch where the degreed party's wire reads 0
-        if anchored_right:
-            amps[0b10] = d0
-            amps[0b01] = d1
-        else:
-            amps[0b01] = d0
-            amps[0b10] = d1
-    else:
-        raise ValueError(f"unknown @ convention {at_convention!r}")
-    return QState(wires, amps)
+    amps[0b00] = d0
+    amps[0b11] = d1
+    return QState((left.name, right.name), amps)
 
 
-def denote_assertion(s: Sequent, bindings: Optional[Dict[str, complex]] = None,
-                     at_convention: str = "phi") -> QState:
+def denote_assertion(s: Sequent, bindings: Optional[Dict[str, complex]] = None) -> QState:
     """The state asserted by a sequent with empty antecedent."""
     if s.antecedent:
         raise NonDenotableSequent(
@@ -358,12 +345,12 @@ def denote_assertion(s: Sequent, bindings: Optional[Dict[str, complex]] = None,
         raise NonDenotableSequent(
             "the empty consequent is the falsehood reading, not a state")
     check_bindings(bindings)
-    state = denote_formula(s.consequent[0], bindings, at_convention)
+    state = denote_formula(s.consequent[0], bindings)
     for f in s.consequent[1:]:
-        state = tensor(state, denote_formula(f, bindings, at_convention))
+        state = tensor(state, denote_formula(f, bindings))
     if s.degree is not None:
         d = resolve_degree(s.degree, bindings)
-        state = QState(state.wires, d * state.amps, state.scale)
+        state = QState(state.wires, d * state.amps)
     return state
 
 
@@ -428,112 +415,83 @@ def _drop_wires(state: QState, keep: Sequence[str], tol: float) -> QState:
             raise WireMismatch(f"wire {wire} is still entangled; cannot discard")
         b = int(np.argmax(norms))
         wires = out.wires[:k] + out.wires[k + 1:]
-        out = QState(wires, t[b], out.scale)
+        out = QState(wires, t[b])
     return out
 
 
-def _conclusion_wires(s: Sequent) -> Tuple[str, ...]:
-    seen: list[str] = []
-    for f in s.consequent:
-        for w in formula_wires(f):
-            if w not in seen:
-                seen.append(w)
-    return tuple(seen)
+_GATES = {"H": hadamard, "CNOT": cnot}
+_PROJECTORS = {1: projector, 2: joint_projector}
+
+
+def predict(action: tuple, premises: Sequence[Derivation],
+            states: Sequence[Optional[QState]], keep: Sequence[str],
+            tol: float = DEFAULT_TOL) -> Optional[QState]:
+    """The conclusion state of a checked rule instance (``Verdict.action``).
+
+    ``states`` are the premises' states, ``keep`` the conclusion's wires; a
+    measurement discards the other wires once they are in a basis state.
+    None when a premise the action reads carries no state.
+    """
+    kind = action[0]
+    if any(s is None for s in states[:2 if kind == "join" else 1]):
+        return None
+    state = states[0]
+    if kind == "keep":
+        return state
+    if kind == "join":
+        return combine_parallel(state, states[1])
+    if kind == "gate":
+        _, name, wires = action
+        return apply(_GATES[name](*wires), state)
+    if kind == "project":
+        _, wires, bit = action
+        return apply(_PROJECTORS[len(wires)](*wires, bit), state).normalized()
+    # a cut: the second premise denotes the measurement
+    measured = apply(denote_measurement(premises[1].conclusion), state).normalized()
+    return _drop_wires(measured, keep, tol)
 
 
 def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
                      tol: float = DEFAULT_TOL,
                      bindings: Optional[Dict[str, complex]] = None,
                      labels: Optional[dict] = None) -> SoundnessReport:
-    """Replay a (structurally checked) derivation against the state model.
+    """Replay a derivation's check against the state model.
 
-    Every node whose conclusion denotes a state gets a predicted state
-    computed from its premises via the rule's operator; the entry records
-    the residual against the stated conclusion's denotation.  Nodes on the
-    measurement side of the turnstile carry no state and are skipped.
+    The derivation is checked in ``mode`` first; each node that passes and
+    whose conclusion denotes a state gets the state its rule instance
+    predicts from its premises' stated states, and its entry records the
+    residual against the stated conclusion's denotation.  A node that fails
+    the check is an error and is not replayed.  Nodes on the measurement
+    side of the turnstile carry no state and are skipped.
     """
     check_bindings(bindings, tol)
     denotations: dict[int, Optional[QState]] = {}
 
-    def actual_of(node: Derivation) -> Optional[QState]:
+    def entry(e: NodeEntry) -> SoundnessEntry:
+        node, p, rule = e.node, e.path, e.rule
+        if not e.verdict.ok:
+            return SoundnessEntry(p, rule, "error", None, f"check failed: {e.verdict.code}")
         try:
-            return denote_assertion(node.conclusion, bindings)
-        except NonDenotableSequent:
-            return None
-
-    def predict(node: Derivation) -> Tuple[Optional[QState], str]:
-        rule = node.rule
-        ps = node.premises
-        if rule in ("premise", "axiom", "ataxiom"):
-            return actual_of(node), "assumption"
-        if rule in ("semidistrib", "parform", "atimplrefl"):
-            src = denotations.get(id(ps[0]))
-            if src is None:
-                return None, "premise carries no state"
-            if rule == "atimplrefl":
-                branch = str(node.params[0]) if node.params else "pos"
-                wires = _conclusion_wires(node.conclusion)
-                op = joint_projector(wires[0], wires[1], 0 if branch == "neg" else 1)
-                return apply(op, src).normalized(), ""
-            return src, ""
-        if rule in ("andform", "atform", "parallel"):
-            a, b = denotations.get(id(ps[0])), denotations.get(id(ps[1]))
-            if a is None or b is None:
-                return None, "a branch carries no state"
-            return combine_parallel(a, b), ""
-        if rule in ("hrule", "hinverse"):
-            src = denotations.get(id(ps[0]))
-            if src is None:
-                return None, "premise carries no state"
-            return apply(hadamard(src.wires[0]), src), ""
-        if rule == "cnot":
-            src = denotations.get(id(ps[0]))
-            if src is None:
-                return None, "premise carries no state"
-            control, target = (f.name for f in ps[0].conclusion.consequent)
-            return apply(cnot(control, target), src), ""
-        if rule in ("cut", "epr"):
-            src = denotations.get(id(ps[0]))
-            if src is None:
-                return None, "left premise carries no state"
-            op = denote_measurement(ps[1].conclusion)
-            projected = apply(op, src).normalized()
-            keep = _conclusion_wires(node.conclusion)
-            return _drop_wires(projected, keep, tol), ""
-        if rule == "qsplit":
-            src = denotations.get(id(ps[0]))
-            if src is None:
-                return None, "source carries no state"
-            branch = str(node.params[0]) if node.params else "pos"
-            qubits = [normalize(f) for f in ps[0].conclusion.consequent]
-            wires = [q.name for q in qubits if isinstance(q, Qubit) and q.degrees is None]
-            if len(node.params) > 1:  # the wire is named, as the kernel reads it
-                wires = [w for w in wires if w == str(node.params[1])]
-            op = projector(wires[0], 0 if branch == "neg" else 1)
-            return apply(op, src).normalized(), ""
-        return None, f"rule {rule} has no state semantics"
-
-    def entry(node: Derivation, p: str) -> SoundnessEntry:
-        actual = None
-        try:
-            actual = actual_of(node)
+            actual = denote_assertion(node.conclusion, bindings)
             denotations[id(node)] = actual
-            if actual is None:
-                return SoundnessEntry(p, node.rule, "nonsemantic", None,
-                                      "conclusion carries no state")
-            if node.rule in ("premise", "axiom", "ataxiom"):
-                return SoundnessEntry(p, node.rule, "assumption", 0.0)
-            predicted, note = predict(node)
+            if not e.verdict.action:
+                if node.premises:
+                    return SoundnessEntry(p, rule, "nonsemantic", None,
+                                          f"rule {rule} has no state semantics")
+                return SoundnessEntry(p, rule, "assumption", 0.0)
+            states = [denotations.get(id(x)) for x in node.premises]
+            predicted = predict(e.verdict.action, node.premises, states, actual.wires, tol)
             if predicted is None:
-                return SoundnessEntry(p, node.rule, "nonsemantic", None, note)
-            return SoundnessEntry(p, node.rule, "state", residual(predicted, actual))
+                return SoundnessEntry(p, rule, "nonsemantic", None,
+                                      "premise carries no state")
+            return SoundnessEntry(p, rule, "state", residual(predicted, actual))
+        except NonDenotableSequent:
+            return SoundnessEntry(p, rule, "nonsemantic", None, "conclusion carries no state")
         except (WireMismatch, ZeroState, UnboundSymbolicDegree,
                 NotAMeasurementShape, NotNormalized) as exc:
-            denotations[id(node)] = actual
-            return SoundnessEntry(p, node.rule, "error", None,
-                                  f"{type(exc).__name__}: {exc}")
+            return SoundnessEntry(p, rule, "error", None, f"{type(exc).__name__}: {exc}")
 
-    entries = [entry(node, p) for node, p in postorder(tree, labels)]
+    entries = [entry(e) for e in check_derivation(tree, mode, labels).entries]
     residuals = [e.residual for e in entries if e.kind == "state"]
     max_residual = max(residuals) if residuals else 0.0
     ok = (max_residual <= tol

@@ -157,3 +157,128 @@ def random_tree(rng: random.Random, depth: int = 0) -> Derivation:
     elif vocab is not None and rng.random() < 0.8:
         params = (rng.choice(vocab),)
     return Derivation(rule, random_sequent(rng), premises, params)
+
+
+# ---------------------------------------------------------------------------
+# A forward generator of valid derivations: each step applies one rule's
+# schema to the steps before it, so every tree it returns checks.
+
+_CAT = {False: (complex(SQRT1_2), complex(-SQRT1_2)),   # H|1> = |->
+        True: (complex(SQRT1_2), complex(SQRT1_2))}     # H|0> = |+>
+# CNOT clause by the premise's (control negated, target negated)
+_CLAUSE = {(False, False): "a", (True, False): "b", (False, True): "a'", (True, True): "b'"}
+
+
+def _leaf(antecedent, consequent) -> Derivation:
+    return Derivation("premise", Sequent(tuple(antecedent), tuple(consequent)))
+
+
+def _asserts(premises, rule, consequent, params=()) -> Derivation:
+    return Derivation(rule, Sequent((), tuple(consequent)), tuple(premises), params)
+
+
+def _hadamard_chain(rng: random.Random, wire: str) -> Derivation:
+    """A bit, then alternating H and H^-1."""
+    negated = rng.random() < 0.5
+    node = _leaf((), (Atom(wire, negated),))
+    for step in range(rng.randrange(0, 5)):
+        if step % 2 == 0:
+            node = _asserts((node,), "hrule", (Qubit(wire, _CAT[negated]),))
+        else:
+            node = _asserts((node,), "hinverse", (Atom(wire, negated),))
+    return node
+
+
+def _cnot_chain(rng: random.Random, control: str, target: str,
+                last: tuple) -> Derivation:
+    """CNOT steps on two bits, ending on the polarities ``last``, a pair
+    (control negated, target negated)."""
+    # CNOT is its own inverse: walk back from the last pair to the first
+    pairs = [last]
+    for _ in range(rng.randrange(0, 4)):
+        c, t = pairs[-1]
+        pairs.append((c, t if c else not t))  # a positive control flips
+    pairs.reverse()
+    node = _leaf((), (Atom(control, pairs[0][0]), Atom(target, pairs[0][1])))
+    for before, (c, t) in zip(pairs, pairs[1:]):
+        params = (_CLAUSE[before],) if rng.random() < 0.7 else ()
+        node = _asserts((node,), "cnot", (Atom(control, c), Atom(target, t)), params)
+    return node
+
+
+def _split_join(rng: random.Random, wires) -> Derivation:
+    """Both qsplit branches of one named wire, joined by parallel[and]."""
+    source = _leaf((), tuple(Qubit(w) for w in wires))
+    i = rng.randrange(len(wires))
+    branches = []
+    for negated in rng.sample((False, True), 2):
+        consequent = list(source.conclusion.consequent)
+        consequent[i] = Atom(wires[i], negated)
+        branches.append(_asserts((source,), "qsplit", consequent,
+                                 ("neg" if negated else "pos", wires[i])))
+    consequent = list(source.conclusion.consequent)
+    consequent[i] = And(branches[0].conclusion.consequent[i],
+                        branches[1].conclusion.consequent[i])
+    return _asserts(branches, "parallel", consequent, ("and",))
+
+
+def _entangled(rng: random.Random, x: str, y: str) -> Derivation:
+    """Q_x @ Q_y formed from |- x, y and |- x^, y^, each a CNOT chain."""
+    branches = [_cnot_chain(rng, x, y, (negated, negated))
+                for negated in rng.sample((False, True), 2)]
+    rule, params = rng.choice((("atform", ("phi",)), ("atform", ()),
+                               ("parallel", ("at",))))
+    return _asserts(branches, rule, (Ent(Qubit(x), Qubit(y)),), params)
+
+
+def _measured(rng: random.Random, x: str, y: str) -> Derivation:
+    """One branch of Q_x @ Q_y: implicit @-reflection, or a measurement of
+    one party by a collapse cut, then perhaps semi-distributivity, or by
+    the EPR rule."""
+    pair = _entangled(rng, x, y)
+    measured, partner = rng.sample((x, y), 2)
+    outcome = Atom(measured, rng.random() < 0.5)
+    roll = rng.random()
+    if roll < 0.2:
+        return _asserts((pair,), "atimplrefl",
+                        (Atom(x, outcome.negated), Atom(y, outcome.negated)),
+                        ("neg" if outcome.negated else "pos",))
+    right = _leaf((Qubit(measured),), (outcome,))
+    if roll < 0.45:
+        return _asserts((pair, right), "epr",
+                        (Par(outcome, Atom(partner, outcome.negated)),))
+    collapsed = Ent(outcome, Qubit(y)) if measured == x else Ent(Qubit(x), outcome)
+    node = _asserts((pair, right), "cut", (collapsed,))
+    if rng.random() < 0.5:
+        node = _asserts((node,), "semidistrib", (outcome, Atom(partner, outcome.negated)))
+    return node
+
+
+def _cut_split(rng: random.Random, wires) -> Derivation:
+    """A measurement of one qubit of a register, by a standard cut."""
+    source = _leaf((), tuple(Qubit(w) for w in wires))
+    i = rng.randrange(len(wires))
+    outcome = Atom(wires[i], rng.random() < 0.5)
+    consequent = list(source.conclusion.consequent)
+    consequent[i] = outcome
+    return _asserts((source, _leaf((Qubit(wires[i]),), (outcome,))), "cut", consequent)
+
+
+def valid_tree(rng: random.Random) -> Derivation:
+    """A derivation built forward from the rule schemas, so it checks."""
+    wires = rng.sample(ATOM_NAMES, rng.randrange(1, 4))
+    x, y = rng.sample(ATOM_NAMES, 2)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _hadamard_chain(rng, wires[0])
+    if kind == 1:
+        last = (rng.random() < 0.5, rng.random() < 0.5)
+        node = _cnot_chain(rng, x, y, last)
+        if rng.random() < 0.3:
+            node = _asserts((node,), "parform", (Par(*node.conclusion.consequent),))
+        return node
+    if kind == 2:
+        return _split_join(rng, wires)
+    if kind == 3:
+        return _measured(rng, x, y)
+    return _cut_split(rng, wires)

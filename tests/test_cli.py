@@ -7,6 +7,7 @@ import io
 import pathlib
 
 from qsc.cli import main
+from qsc.semantics import MAX_WIRES
 
 DATA = pathlib.Path(__file__).parent / "data"
 CORPUS = pathlib.Path(__file__).parents[1] / "src" / "qsc" / "corpus"
@@ -74,6 +75,26 @@ class TestVerify:
         assert run("check", str(script))[0] == 0
         code, out, _ = run("verify", str(script), "--format", "machine")
         assert code == 0 and "verify\tt:2\tqsplit\tstate\t0.000e+00" in out
+
+    def test_psi_formation_fails_the_check(self, tmp_path):
+        script = tmp_path / "psi.qsc"
+        script.write_text("atoms A B\ntheorem t:\n  1: |- A, B^ premise\n"
+                          "  2: |- A^, B premise\n"
+                          "  3: |- Q_A @ Q_B by atform[psi](1, 2)\nqed\n")
+        code, out, _ = run("check", str(script), "--format", "machine")
+        assert code == 1 and "check\tt:3\tatform\tfail\tSchemaMismatch" in out
+        assert run("verify", str(script))[0] == 3
+
+    def test_a_state_wider_than_the_cap_is_an_error_entry(self, tmp_path):
+        wires = [f"W{i}" for i in range(MAX_WIRES + 1)]
+        script = tmp_path / "wide.qsc"
+        script.write_text(f"atoms {' '.join(wires)}\ntheorem t:\n"
+                          f"  1: |- {', '.join(wires)} premise\nqed\n")
+        assert run("check", str(script))[0] == 0
+        code, out, _ = run("verify", str(script), "--format", "machine")
+        assert code == 1
+        assert out.startswith(f"verify\tt:1\tpremise\terror\t-\tWireMismatch: "
+                              f"{MAX_WIRES + 1} wires exceed the cap of {MAX_WIRES}")
 
 
 class TestRender:

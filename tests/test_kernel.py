@@ -148,8 +148,12 @@ class TestAt:
         assert v.ok and "phi" in v.message
 
     def test_formation_psi(self):
+        # @ has the one reading phi: premises of opposite polarities, which
+        # would pair as psi, do not form Q_A @ Q_B
         v = check_atform((sq("|- A^, B"), sq("|- A, B^")), sq("|- Q_A @ Q_B"), ())
-        assert v.ok and "psi" in v.message
+        assert not v.ok and v.code == "SchemaMismatch"
+        v = check_atform((sq("|- A^, B"), sq("|- A, B^")), sq("|- Q_A @ Q_B"), ("psi",))
+        assert not v.ok and v.code == "SchemaMismatch"
 
     def test_implicit_reflection(self):
         node = Derivation("atimplrefl", sq("|- A, B"),
