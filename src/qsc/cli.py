@@ -20,6 +20,7 @@ from .semantics import (
     DEFAULT_TOL,
     NotNormalized,
     SoundnessReport,
+    check_bindings,
     teleport_oracle,
     verify_soundness,
 )
@@ -98,8 +99,16 @@ def _emit(lines: List[str], out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _bindings(args) -> Dict[str, complex]:
-    return {"alpha": args.alpha, "beta": args.beta}
+def _bindings(args) -> Optional[Dict[str, complex]]:
+    """The alpha/beta bindings, or None after reporting that they are not
+    normalized."""
+    bindings = {"alpha": args.alpha, "beta": args.beta}
+    try:
+        check_bindings(bindings)
+    except NotNormalized as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return bindings
 
 
 def cmd_check(args) -> int:
@@ -121,27 +130,28 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    bindings = _bindings(args)
+    if bindings is None:
+        return EXIT_INPUT
     script = _read_script(args.path, sys.stderr)
     if script is None:
         return EXIT_INPUT
     mode = LogicMode(args.mode)
     labels = script_labels(script)
-    for theorem in script.theorems:
-        if not check_derivation(theorem.derivation, mode, labels).ok:
+    reports = [verify_soundness(theorem.derivation, mode, args.tol, bindings, labels)
+               for theorem in script.theorems]
+    for theorem, report in zip(script.theorems, reports):
+        if not report.check_ok:
             print(f"error: theorem {theorem.name} fails the structural check; "
                   "run 'check' first", file=sys.stderr)
             return EXIT_PHASE
     lines: List[str] = []
-    ok = True
-    for theorem in script.theorems:
+    for theorem, report in zip(script.theorems, reports):
         if args.format == "human":
             lines.append(f"theorem {theorem.name}:")
-        report = verify_soundness(theorem.derivation, mode, args.tol,
-                                  _bindings(args), labels)
         lines.extend(_format_soundness(report, args.format))
-        ok = ok and report.ok
     _emit(lines, args.out)
-    return EXIT_OK if ok else EXIT_FAILURE
+    return EXIT_OK if all(r.ok for r in reports) else EXIT_FAILURE
 
 
 def cmd_render(args) -> int:
@@ -158,8 +168,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    bindings = _bindings(args)
+    if bindings is None:
+        return EXIT_INPUT
     mode = LogicMode(args.mode)
-    results = run_corpus(mode, args.tol, _bindings(args))
+    results = run_corpus(mode, args.tol, bindings)
     lines: List[str] = []
     if args.format == "machine":
         for r in results:
@@ -218,24 +231,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check, verify and render qubit sequent-calculus derivations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_path=True):
+    def common(p, with_path=True, with_mode=True, with_values=True):
         if with_path:
             p.add_argument("path", help="proof script (.qsc)")
-        p.add_argument("--mode", choices=["basic", "intuitionistic"],
-                       default="basic", help="context discipline (default basic)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="residual tolerance (default 1e-9)")
-        p.add_argument("--alpha", type=_parse_complex,
-                       default=DEFAULT_BINDINGS["alpha"],
-                       help="value bound to the symbolic degree alpha")
-        p.add_argument("--beta", type=_parse_complex,
-                       default=DEFAULT_BINDINGS["beta"],
-                       help="value bound to the symbolic degree beta")
+        if with_mode:
+            p.add_argument("--mode", choices=["basic", "intuitionistic"],
+                           default="basic", help="context discipline (default basic)")
+        if with_values:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="residual tolerance (default 1e-9)")
+            p.add_argument("--alpha", type=_parse_complex,
+                           default=DEFAULT_BINDINGS["alpha"],
+                           help="value bound to the symbolic degree alpha")
+            p.add_argument("--beta", type=_parse_complex,
+                           default=DEFAULT_BINDINGS["beta"],
+                           help="value bound to the symbolic degree beta")
         p.add_argument("--format", choices=["human", "machine"], default="human")
         p.add_argument("--out", help="write the report to this path")
 
     p = sub.add_parser("check", help="structural check of every theorem")
-    common(p)
+    common(p, with_values=False)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="state-vector soundness verification")
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("teleport", help="brute-force teleportation oracle")
-    common(p, with_path=False)
+    common(p, with_path=False, with_mode=False)
     p.set_defaults(func=cmd_teleport)
 
     return parser

@@ -89,12 +89,15 @@ class DuplicateStepId(ScriptError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_NUM_RE = re.compile(
-    r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"        # real part
-    r"(?:[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i|i)?"  # optional imaginary
+# The first alternative that matches wins; the unnamed ones (blanks and
+# comments) make no token.  Every character is one column wide.
+_REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN_RE = re.compile(
+    r"(?P<NL>\n)|[ \t\r]+|--[^\n]*"
+    r"|(?P<PUNCT>\|-|[,:()\[\]{}&#@^])"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)"
+    rf"|(?P<NUM>[+-]?{_REAL}(?:[+-]{_REAL}i|i)?)"
 )
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_PUNCT = ("|-", ",", ":", "(", ")", "[", "]", "{", "}", "&", "#", "@", "^")
 
 
 @dataclass(frozen=True)
@@ -106,51 +109,20 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col, 1)
-        if text.startswith("|-", i):
-            tokens.append(Token("PUNCT", "|-", SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            tokens.append(Token("IDENT", word, SourceSpan(line, col, len(word))))
-            i += len(word)
-            col += len(word)
-            continue
-        m = _NUM_RE.match(text, i)
-        if m and (c.isdigit() or c == "." or
-                  (c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == "."))):
-            word = m.group(0)
-            tokens.append(Token("NUM", word, SourceSpan(line, col, len(word))))
-            i += len(word)
-            col += len(word)
-            continue
-        if c in "".join(p for p in _PUNCT if len(p) == 1):
-            tokens.append(Token("PUNCT", c, span))
-            i += 1
-            col += 1
-            continue
-        raise ScriptSyntaxError(f"unexpected character {c!r}", span)
-    tokens.append(Token("EOF", "", SourceSpan(line, col, 0)))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ScriptSyntaxError(f"unexpected character {text[pos]!r}",
+                                    SourceSpan(line, pos - line_start + 1, 1))
+        kind, end = m.lastgroup, m.end()
+        if kind == "NL":
+            line, line_start = line + 1, end
+        elif kind:
+            tokens.append(Token(kind, m.group(), SourceSpan(line, pos - line_start + 1,
+                                                            end - pos)))
+        pos = end
+    tokens.append(Token("EOF", "", SourceSpan(line, len(text) - line_start + 1, 0)))
     return tokens
 
 
@@ -170,8 +142,8 @@ class _Parser:
         self.pos = 0
         self.atoms = set(atoms) if atoms is not None else None
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()

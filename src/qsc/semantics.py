@@ -76,16 +76,16 @@ def resolve_degree(d: Degree, bindings: Optional[Dict[str, complex]]) -> complex
     return complex(d)
 
 
-def check_bindings(bindings: Optional[Dict[str, complex]],
-                   tol: float = DEFAULT_TOL) -> None:
-    """The reserved symbolic pair must satisfy |alpha|^2 + |beta|^2 = 1."""
+def check_bindings(bindings: Optional[Dict[str, complex]]) -> None:
+    """The reserved symbolic pair must satisfy |alpha|^2 + |beta|^2 = 1
+    within ``DEFAULT_TOL``, whatever residual tolerance a caller uses."""
     if not bindings:
         return
     if "alpha" in bindings and "beta" in bindings:
         total = abs(complex(bindings["alpha"])) ** 2 + abs(complex(bindings["beta"])) ** 2
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > DEFAULT_TOL:
             raise NotNormalized(
-                f"|alpha|^2 + |beta|^2 = {total!r}, expected 1 within {tol}")
+                f"|alpha|^2 + |beta|^2 = {total!r}, expected 1 within {DEFAULT_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +390,7 @@ def denote_measurement(s: Sequent) -> Operator:
 class SoundnessEntry:
     path: str
     rule: str
-    kind: str                     # state | assumption | measurement | nonsemantic | error
+    kind: str                     # state | assumption | nonsemantic | error
     residual: Optional[float]
     note: str = ""
 
@@ -401,6 +401,7 @@ class SoundnessReport:
     tol: float
     max_residual: float
     entries: list  # of SoundnessEntry, post-order
+    check_ok: bool  # the replayed structural check passed on every node
 
 
 def _drop_wires(state: QState, keep: Sequence[str], tol: float) -> QState:
@@ -464,7 +465,7 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
     the check is an error and is not replayed.  Nodes on the measurement
     side of the turnstile carry no state and are skipped.
     """
-    check_bindings(bindings, tol)
+    check_bindings(bindings)
     denotations: dict[int, Optional[QState]] = {}
 
     def entry(e: NodeEntry) -> SoundnessEntry:
@@ -491,12 +492,13 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
                 NotAMeasurementShape, NotNormalized) as exc:
             return SoundnessEntry(p, rule, "error", None, f"{type(exc).__name__}: {exc}")
 
-    entries = [entry(e) for e in check_derivation(tree, mode, labels).entries]
+    check = check_derivation(tree, mode, labels)
+    entries = [entry(e) for e in check.entries]
     residuals = [e.residual for e in entries if e.kind == "state"]
     max_residual = max(residuals) if residuals else 0.0
     ok = (max_residual <= tol
           and not any(e.kind == "error" for e in entries))
-    return SoundnessReport(ok, tol, max_residual, entries)
+    return SoundnessReport(ok, tol, max_residual, entries, check.ok)
 
 
 # ---------------------------------------------------------------------------

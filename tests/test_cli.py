@@ -6,6 +6,8 @@ import contextlib
 import io
 import pathlib
 
+import pytest
+
 from qsc.cli import main
 from qsc.semantics import MAX_WIRES
 
@@ -147,3 +149,23 @@ class TestTeleport:
         code, out, _ = run("teleport", "--format", "machine")
         rows = [l for l in out.splitlines() if l.startswith("outcome\t")]
         assert code == 0 and len(rows) == 4
+
+
+# A loose --tol admits no bindings that a denotation would refuse:
+# normalization is judged at one tolerance.
+@pytest.mark.parametrize("command", [["verify", str(CORPUS / "h-rule.qsc")], ["corpus"]])
+@pytest.mark.parametrize("values", [["--beta", "0.9"], ["--tol", "1e-3", "--beta", "0.80001"]])
+def test_unnormalized_bindings_are_an_input_error(command, values):
+    code, out, err = run(*command, *values)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["check", str(CORPUS / "ent.qsc"), "--alpha", "2"],
+                                  ["check", str(CORPUS / "ent.qsc"), "--beta", "2"],
+                                  ["check", str(CORPUS / "ent.qsc"), "--tol", "5"],
+                                  ["teleport", "--mode", "basic"]])
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2

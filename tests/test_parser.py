@@ -231,3 +231,35 @@ class TestTokenizer:
         with pytest.raises(ScriptSyntaxError) as exc:
             tokenize("atoms A $")
         assert exc.value.span.column == 9
+
+    # (kind, text, line, column, length) per token, or the error's message;
+    # recorded from the character-loop tokenizer this one replaced, except
+    # that the EOF after a trailing comment now sits at the end of input.
+    @pytest.mark.parametrize("text, expected", [
+        ("-5", [("NUM", "-5", 1, 1, 2), ("EOF", "", 1, 3, 0)]),
+        ("+.5", [("NUM", "+.5", 1, 1, 3), ("EOF", "", 1, 4, 0)]),
+        ("2i", [("NUM", "2i", 1, 1, 2), ("EOF", "", 1, 3, 0)]),
+        ("0.6+0.8i", [("NUM", "0.6+0.8i", 1, 1, 8), ("EOF", "", 1, 9, 0)]),
+        ("1e-3", [("NUM", "1e-3", 1, 1, 4), ("EOF", "", 1, 5, 0)]),
+        ("A -- note\nB", [("IDENT", "A", 1, 1, 1), ("IDENT", "B", 2, 1, 1),
+                          ("EOF", "", 2, 2, 0)]),
+        ("A -- note", [("IDENT", "A", 1, 1, 1), ("EOF", "", 1, 10, 0)]),
+        ("x -", "1:3: unexpected character '-'"),
+        ("x +", "1:3: unexpected character '+'"),
+        ("x .", "1:3: unexpected character '.'"),
+        ("x |", "1:3: unexpected character '|'"),
+        ("\tA\rB", [("IDENT", "A", 1, 2, 1), ("IDENT", "B", 1, 4, 1),
+                    ("EOF", "", 1, 5, 0)]),
+        ("Q_C{alpha,beta}", [("IDENT", "Q_C", 1, 1, 3), ("PUNCT", "{", 1, 4, 1),
+                             ("IDENT", "alpha", 1, 5, 5), ("PUNCT", ",", 1, 10, 1),
+                             ("IDENT", "beta", 1, 11, 4), ("PUNCT", "}", 1, 15, 1),
+                             ("EOF", "", 1, 16, 0)]),
+    ])
+    def test_tokens_spans_and_errors(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ScriptSyntaxError) as exc:
+                tokenize(text)
+            assert str(exc.value) == expected
+        else:
+            assert [(t.kind, t.text, t.span.line, t.span.column, t.span.length)
+                    for t in tokenize(text)] == expected

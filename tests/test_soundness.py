@@ -29,6 +29,7 @@ def test_verify_reports_on_every_random_tree():
             if not c.verdict.ok:
                 assert (v.kind, v.note) == ("error", f"check failed: {c.verdict.code}")
         assert verified.ok <= checked.ok
+        assert verified.check_ok == checked.ok
 
 
 @pytest.mark.parametrize("block", range(20))
