@@ -203,11 +203,10 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    try:
-        outcomes = teleport_oracle(args.alpha, args.beta, args.tol)
-    except NotNormalized as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    bindings = _bindings(args)
+    if bindings is None:
         return EXIT_INPUT
+    outcomes = teleport_oracle(bindings["alpha"], bindings["beta"])
     lines: List[str] = []
     if args.format == "machine":
         for o in outcomes:

@@ -91,26 +91,23 @@ def load_entry(entry: CorpusEntry) -> ProofScript:
     return parse_script(corpus_text(entry.filename))
 
 
+_TARGETS = {  # key -> (wires, amplitudes); teleported_cb reads the bindings
+    "bit1": ("A", (0, 1)),
+    "bit0": ("A", (1, 0)),
+    "cat_identity": ("A", (SQRT1_2, SQRT1_2)),
+    "pair11": ("AB", (0, 0, 0, 1)),
+    "bell_identity": ("AB", (SQRT1_2, 0, 0, SQRT1_2)),
+    "bell_ba": ("BA", (SQRT1_2, 0, 0, SQRT1_2)),
+    "separable_ba": ("BA", (0.5, 0.5, 0.5, 0.5)),
+}
+
+
 def _target_state(key: str, bindings: Dict[str, complex]) -> QState:
-    s = SQRT1_2
-    if key == "bit1":
-        return QState(("A",), np.array([0, 1], dtype=complex))
-    if key == "bit0":
-        return QState(("A",), np.array([1, 0], dtype=complex))
-    if key == "cat_identity":
-        return QState(("A",), np.array([s, s], dtype=complex))
-    if key == "pair11":
-        return QState(("A", "B"), np.array([0, 0, 0, 1], dtype=complex))
-    if key == "bell_identity":
-        return QState(("A", "B"), np.array([s, 0, 0, s], dtype=complex))
-    if key == "bell_ba":
-        return QState(("B", "A"), np.array([s, 0, 0, s], dtype=complex))
-    if key == "separable_ba":
-        return QState(("B", "A"), np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
     if key == "teleported_cb":
-        a, b = bindings["alpha"], bindings["beta"]
-        return QState(("C", "B"), np.array([a, 0, 0, b], dtype=complex))
-    raise KeyError(key)
+        wires, amps = "CB", (bindings["alpha"], 0, 0, bindings["beta"])
+    else:
+        wires, amps = _TARGETS[key]
+    return QState(tuple(wires), np.array(amps, dtype=complex))
 
 
 @dataclass
@@ -151,7 +148,7 @@ def run_entry(entry: CorpusEntry, mode: LogicMode = LogicMode.BASIC,
     goal_ok = sequent_equivalent(final.goal, parse_sequent(entry.goal, script.atoms))
     semantic_ok: Optional[bool] = None
     semantic_note = ""
-    if entry.target is not None and check_ok:
+    if entry.target is not None and verify_ok:
         target = _target_state(entry.target, bindings)
         state = denote_assertion(final.goal, bindings)
         fid = fidelity(state, target)

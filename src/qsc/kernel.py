@@ -46,14 +46,33 @@ class LogicMode(enum.Enum):
 Param = Union[str, Formula]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
-    """One node of a derivation tree."""
+    """One node of a derivation tree; ``==`` and ``hash`` do not recurse."""
 
     rule: str
     conclusion: Sequent
     premises: Tuple["Derivation", ...] = ()
     params: Tuple[Param, ...] = ()
+
+    def _key(self):
+        return (self.rule, self.conclusion, self.params, len(self.premises))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (id(a), id(b)) not in seen:
+                if a._key() != b._key():
+                    return False
+                seen.add((id(a), id(b)))
+                stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -533,8 +552,7 @@ def check_atexplrefl(premises: Tuple[Sequent, Sequent],
     return _conclusion_check(conclusion, expected, "SchemaMismatch")
 
 
-def check_semidistrib(premise: Sequent, conclusion: Sequent,
-                      params: Tuple[Param, ...]) -> Verdict:
+def check_semidistrib(premise: Sequent, conclusion: Sequent) -> Verdict:
     mixed = []
     for i, f in enumerate(premise.consequent):
         g = normalize(f)
@@ -722,7 +740,7 @@ def check_epr(left: Sequent, right: Sequent, conclusion: Sequent,
     sub = check_cut(left, right, mid1, mode, ())
     if not sub.ok:
         return _fail(sub.code, f"collapse step: {sub.message}")
-    sub = check_semidistrib(mid1, mid2, ())
+    sub = check_semidistrib(mid1, mid2)
     if not sub.ok:
         return _fail(sub.code, f"semi-distributivity step: {sub.message}")
     sub = check_parform(mid2, final, ())
@@ -770,7 +788,7 @@ _RULE_TABLE = {
     "atform": (2, 2, lambda n, ps, mode: check_atform(ps, n.conclusion, n.params)),
     "atimplrefl": (1, 1, lambda n, ps, mode: check_atimplrefl(ps[0], n.conclusion, n.params)),
     "atexplrefl": (2, 2, lambda n, ps, mode: check_atexplrefl(ps, n.conclusion)),
-    "semidistrib": (1, 1, lambda n, ps, mode: check_semidistrib(ps[0], n.conclusion, n.params)),
+    "semidistrib": (1, 1, lambda n, ps, mode: check_semidistrib(ps[0], n.conclusion)),
     "qsplit": (1, 3, lambda n, ps, mode: check_qsplit(ps, n.conclusion, n.params)),
     "hrule": (1, 1, lambda n, ps, mode: check_hrule(ps[0], n.conclusion)),
     "hinverse": (1, 1, lambda n, ps, mode: check_hinverse(ps[0], n.conclusion)),

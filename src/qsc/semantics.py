@@ -198,10 +198,6 @@ def entanglement_entropy(state: QState, wire: str) -> float:
 H_MATRIX = SQRT1_2 * np.array([[1, 1], [1, -1]], dtype=complex)
 M0_MATRIX = np.array([[1, 0], [0, 0]], dtype=complex)
 M1_MATRIX = np.array([[0, 0], [0, 1]], dtype=complex)
-MC_MATRIX = M0_MATRIX + M1_MATRIX          # Cat-mirror: the identity on C^2
-I2_MATRIX = np.eye(2, dtype=complex)
-MB_MATRIX = np.kron(M0_MATRIX + M1_MATRIX, I2_MATRIX)  # Bell mirror = I_4
-I4_MATRIX = np.eye(4, dtype=complex)
 # basis (control, target), control the most significant bit
 CNOT_MATRIX = np.array([[1, 0, 0, 0],
                         [0, 1, 0, 0],
@@ -238,14 +234,6 @@ def projector(wire: str, outcome: int) -> Operator:
 def joint_projector(wire_a: str, wire_b: str, outcome: int) -> Operator:
     m = M1_MATRIX if outcome else M0_MATRIX
     return Operator(f"M{outcome}{outcome}", (wire_a, wire_b), np.kron(m, m))
-
-
-def cat_mirror(wire: str) -> Operator:
-    return Operator("MC", (wire,), MC_MATRIX)
-
-
-def bell_mirror(wire_a: str, wire_b: str) -> Operator:
-    return Operator("MB", (wire_a, wire_b), MB_MATRIX)
 
 
 def apply(op: Operator, state: QState) -> QState:
@@ -462,10 +450,10 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
     whose conclusion denotes a state gets the state its rule instance
     predicts from its premises' stated states, and its entry records the
     residual against the stated conclusion's denotation.  A node that fails
-    the check is an error and is not replayed.  Nodes on the measurement
-    side of the turnstile carry no state and are skipped.
+    the check is an error and is not replayed, as is a node the bindings
+    cannot denote (unbound or not normalized): inputs never raise.  Nodes
+    on the measurement side of the turnstile carry no state and are skipped.
     """
-    check_bindings(bindings)
     denotations: dict[int, Optional[QState]] = {}
 
     def entry(e: NodeEntry) -> SoundnessEntry:
@@ -503,8 +491,8 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
 
 # ---------------------------------------------------------------------------
 # Independent teleportation oracle: pure linear algebra over explicit
-# 8-dimensional vectors, sharing nothing with the kernel or the denotation
-# layer above.
+# 8-dimensional vectors, sharing only ``check_bindings`` with the kernel and
+# the denotation layer above.
 
 _PAULI_I = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -534,20 +522,17 @@ class TeleportOutcome:
     fidelity: float            # |<input|bob after correction>|^2
 
 
-def teleport_oracle(alpha: complex, beta: complex,
-                    tol: float = DEFAULT_TOL) -> Tuple[TeleportOutcome, ...]:
+def teleport_oracle(alpha: complex, beta: complex) -> Tuple[TeleportOutcome, ...]:
     """Brute-force the teleportation protocol for the input a|0> + b|1>.
 
     Builds the Bell pair on (A, B) next to the unknown state on C, projects
     (A, C) onto each of the four Bell states, renormalizes, applies the
     standard Pauli correction on B, and reports probability and fidelity
     per outcome.  A correct protocol gives probability 1/4 and fidelity 1
-    on every branch.
+    on every branch.  Raises ``NotNormalized`` as ``check_bindings`` does.
     """
+    check_bindings({"alpha": alpha, "beta": beta})
     alpha, beta = complex(alpha), complex(beta)
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > tol:
-        raise NotNormalized(f"|alpha|^2 + |beta|^2 = {total!r}, expected 1")
     psi_c = np.array([alpha, beta], dtype=complex)
     bell_ab = np.array([1, 0, 0, 1], dtype=complex) * SQRT1_2
     full = np.kron(bell_ab, psi_c).reshape(2, 2, 2)  # indices (A, B, C)

@@ -153,7 +153,8 @@ class TestTeleport:
 
 # A loose --tol admits no bindings that a denotation would refuse:
 # normalization is judged at one tolerance.
-@pytest.mark.parametrize("command", [["verify", str(CORPUS / "h-rule.qsc")], ["corpus"]])
+@pytest.mark.parametrize("command", [["verify", str(CORPUS / "h-rule.qsc")], ["corpus"],
+                                     ["teleport"]])
 @pytest.mark.parametrize("values", [["--beta", "0.9"], ["--tol", "1e-3", "--beta", "0.80001"]])
 def test_unnormalized_bindings_are_an_input_error(command, values):
     code, out, err = run(*command, *values)

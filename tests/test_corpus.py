@@ -80,3 +80,15 @@ def test_machine_corpus_report_is_deterministic():
     assert first == second
     assert first[0] == 0
     assert first[1].encode() == second[1].encode()
+
+
+# The runner ends every entry in a row, whatever the bindings.
+def test_missing_bindings_fail_only_the_entry_that_needs_them():
+    results = run_corpus(bindings={})
+    assert len(results) == 13
+    assert [r.name for r in results if not r.ok] == ["tel"]
+
+
+def test_unnormalized_bindings_fail_every_entry():
+    results = run_corpus(bindings={"alpha": 0.6, "beta": 0.9})
+    assert len(results) == 13 and not any(r.ok for r in results)

@@ -15,23 +15,12 @@ import sys
 import pytest
 
 from conftest import hadamard_chain
-from qsc.kernel import LogicMode, check_derivation, postorder
+from qsc.kernel import LogicMode, check_derivation
 from qsc.parser import parse_script, script_labels
 from qsc.render import render_ascii, render_linear
 from qsc.semantics import verify_soundness
 
 SRC = pathlib.Path(__file__).parents[1] / "src"
-
-
-def flat(tree):
-    """The tree as a list in post-order, each premise named by its position."""
-    position = {}
-    nodes = []
-    for node, _ in postorder(tree):
-        position[id(node)] = len(position)
-        nodes.append((node.rule, node.conclusion, node.params,
-                      tuple(position[id(p)] for p in node.premises)))
-    return nodes
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +45,19 @@ def test_long_chain_verifies(long_chain):
 def test_long_chain_linear_render_parses_back(long_chain):
     tree = long_chain.theorems[0].derivation
     reparsed = parse_script(render_linear(tree)).theorems[0].derivation
-    assert flat(reparsed) == flat(tree)
+    assert reparsed == tree
+
+
+def test_deep_trees_compare_and_hash_without_recursion():
+    def chain(steps):
+        return parse_script(hadamard_chain(steps)).theorems[0].derivation
+
+    tree = chain(1_200)
+    reparsed = parse_script(render_linear(tree)).theorems[0].derivation
+    assert reparsed == tree and hash(reparsed) == hash(tree)
+    assert tree != chain(1_199)
+    # same root, different leaf: the walk reaches the bottom of both trees
+    assert tree != chain(1_198)
 
 
 def test_chain_ascii_render_has_two_lines_per_step():

@@ -168,11 +168,11 @@ class TestAt:
         assert not v.ok and v.code == "VisibilityViolation"
 
     def test_semidistrib_mixed_form(self):
-        assert check_semidistrib(sq("|- A @ Q_B"), sq("|- A, B"), ()).ok
-        assert check_semidistrib(sq("|-{beta} C @ Q_B"), sq("|-{beta} C, B"), ()).ok
+        assert check_semidistrib(sq("|- A @ Q_B"), sq("|- A, B")).ok
+        assert check_semidistrib(sq("|-{beta} C @ Q_B"), sq("|-{beta} C, B")).ok
 
     def test_semidistrib_requires_collapsed_party(self):
-        v = check_semidistrib(sq("|- Q_A @ Q_B"), sq("|- A, B"), ())
+        v = check_semidistrib(sq("|- Q_A @ Q_B"), sq("|- A, B"))
         assert not v.ok and v.code == "SchemaMismatch"
 
 

@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qsc.corpus import corpus_text
 from qsc.kernel import check_derivation
-from qsc.parser import parse_script, parse_sequent
+from qsc.parser import parse_script, parse_sequent, script_labels
 from qsc.semantics import (
     H_MATRIX,
-    I2_MATRIX,
-    I4_MATRIX,
     M0_MATRIX,
     M1_MATRIX,
-    MB_MATRIX,
-    MC_MATRIX,
     NonDenotableSequent,
     NotAMeasurementShape,
     NotNormalized,
@@ -23,8 +20,6 @@ from qsc.semantics import (
     WireMismatch,
     ZeroState,
     apply,
-    bell_mirror,
-    cat_mirror,
     cnot,
     combine_parallel,
     denote_assertion,
@@ -145,11 +140,6 @@ class TestOperators:
         out = apply(hadamard("A"), state("A", [1, 0]))
         assert np.array_equal(out.vector(), [S, S])
 
-    def test_cat_mirror_is_the_identity(self):
-        plus = state("A", [S, S])
-        out = apply(cat_mirror("A"), plus)
-        assert np.array_equal(out.vector(), plus.vector())
-
     def test_cnot_on_control_cat_makes_a_bell_state(self):
         inp = tensor(state("B", [S, S]), state("A", [1, 0]))
         out = apply(cnot("B", "A"), inp)
@@ -159,24 +149,13 @@ class TestOperators:
         with pytest.raises(WireMismatch):
             apply(hadamard("C"), state("A", [1, 0]))
 
-    def test_mirror_matrices_entrywise_identities(self):
-        assert np.array_equal(MC_MATRIX, I2_MATRIX)
-        assert np.array_equal(MB_MATRIX, I4_MATRIX)
-        assert np.array_equal(M0_MATRIX + M1_MATRIX, I2_MATRIX)
-
     def test_h_self_inverse(self):
-        assert np.max(np.abs(H_MATRIX @ H_MATRIX - I2_MATRIX)) <= 1e-12
+        assert np.max(np.abs(H_MATRIX @ H_MATRIX - np.eye(2))) <= 1e-12
 
     def test_unitarity_on_random_states(self):
         for s in random_states(2, 25, seed=1):
             for op in (hadamard("A"), cnot("A", "B"), cnot("B", "A")):
                 assert abs(apply(op, s).norm() - s.norm()) <= 1e-12
-
-    def test_mirror_identities_on_random_states(self):
-        for s in random_states(2, 25, seed=2):
-            assert np.array_equal(apply(cat_mirror("A"), s).vector(), s.vector())
-            assert np.array_equal(apply(bell_mirror("A", "B"), s).vector(),
-                                  s.vector())
 
     def test_h_involution_on_random_states(self):
         for s in random_states(1, 25, seed=3):
@@ -308,6 +287,15 @@ class TestVerifySoundness:
         # the degreed branch assertion denotes the beta-weighted branch
         branch = denote("|-{beta} C, B", BINDINGS)
         assert np.allclose(branch.vector(), [0, 0, 0, 0.8])
+
+    def test_unnormalized_bindings_are_error_entries(self):
+        script = parse_script(corpus_text("tel.qsc"))
+        report = verify_soundness(script.theorems[0].derivation,
+                                  bindings={"alpha": 0.6, "beta": 0.9},
+                                  labels=script_labels(script))
+        errors = [e for e in report.entries if e.kind == "error"]
+        assert not report.ok and report.check_ok and errors
+        assert all(e.note.startswith("NotNormalized: ") for e in errors)
 
 
 # ---------------------------------------------------------------------------
