@@ -46,7 +46,6 @@ from .semantics import (
     apply,
     combine_parallel,
     denote_assertion,
-    denote_measurement,
     entanglement_entropy,
     fidelity,
     teleport_oracle,

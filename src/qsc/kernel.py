@@ -123,7 +123,7 @@ def _fail(code: str, message: str) -> Verdict:
     return Verdict.failed(code, message)
 
 
-_KEEP, _JOIN, _CUT = ("keep",), ("join",), ("cut",)
+_KEEP, _JOIN = ("keep",), ("join",)
 
 
 def _conclusion_check(stated: Sequent, expected: Sequent,
@@ -251,8 +251,6 @@ def check_parform(premise: Sequent, conclusion: Sequent,
         if not 0 <= i < n - 1:
             return _fail("SchemaMismatch", f"par position {i} out of range")
         positions = [i]
-    elif n == 2:
-        positions = [0]
     else:
         positions = list(range(n - 1))
     for i in positions:
@@ -324,6 +322,19 @@ def check_negrefl(premise: Sequent, conclusion: Sequent,
 # shape is the joint two-qubit measurement of the teleportation proof and
 # carries the outcome's assertion degree onto the conclusion.
 
+def _measurement(right: Sequent) -> tuple:
+    """The projection the right premise of a cut or EPR step denotes, or
+    ``()``: one or two undegreed qubits measured into an outcome literal on
+    one of their wires."""
+    measured = [normalize(f) for f in right.antecedent]
+    outcome = _literal(right.consequent[0]) if len(right.consequent) == 1 else None
+    if (outcome is None or not 1 <= len(measured) <= 2
+            or not all(isinstance(m, Qubit) and m.degrees is None for m in measured)):
+        return ()
+    wires = tuple(m.name for m in measured)
+    return ("project", wires, int(not outcome.negated)) if outcome.name in wires else ()
+
+
 def _find_formula(formulas: Sequence[Formula], target: Formula) -> Optional[int]:
     t = normalize(target)
     for i, f in enumerate(formulas):
@@ -383,7 +394,7 @@ def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
                         expected = Sequent(left.antecedent,
                                            _splice(left.consequent, i, (collapsed,)),
                                            right.degree)
-                        return _conclusion_check(conclusion, expected, action=_CUT)
+                        return _conclusion_check(conclusion, expected, action=_measurement(right))
 
     # Standard cut.
     if cut_formula is None:
@@ -409,7 +420,7 @@ def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
     expected = Sequent(left.antecedent + context,
                        _splice(left.consequent, left_pos, right.consequent),
                        degree)
-    return _conclusion_check(conclusion, expected, action=_CUT)
+    return _conclusion_check(conclusion, expected, action=_measurement(right))
 
 
 def _check_bell_cut(left: Sequent, right: Sequent, conclusion: Sequent,
@@ -435,7 +446,7 @@ def _check_bell_cut(left: Sequent, right: Sequent, conclusion: Sequent,
             consequent[i] = collapsed
             del consequent[j]
             expected = Sequent(left.antecedent, tuple(consequent), right.degree)
-            return _conclusion_check(conclusion, expected, action=_CUT)
+            return _conclusion_check(conclusion, expected, action=_measurement(right))
     return None
 
 
@@ -746,7 +757,7 @@ def check_epr(left: Sequent, right: Sequent, conclusion: Sequent,
     sub = check_parform(mid2, final, ())
     if not sub.ok:
         return _fail(sub.code, f"par formation step: {sub.message}")
-    return _conclusion_check(conclusion, final, action=_CUT)
+    return _conclusion_check(conclusion, final, action=_measurement(right))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ from .syntax import (
 )
 
 KEYWORDS = frozenset({"atoms", "theorem", "qed", "by", "premise"})
+# The most tokens one formula may span; this bounds the recursion of the
+# parser and of every walk over a formula.
+MAX_FORMULA_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,7 @@ class _Parser:
     def __init__(self, tokens: List[Token], atoms: Optional[Sequence[str]] = None):
         self.tokens = tokens
         self.pos = 0
+        self.start = self.depth = 0  # the outermost formula's first token, open "("s
         self.atoms = set(atoms) if atoms is not None else None
 
     def peek(self) -> Token:
@@ -203,6 +207,8 @@ class _Parser:
         return tok.kind == "PUNCT" and tok.text == "("
 
     def parse_formula(self) -> Formula:
+        if not self.depth:
+            self.start = self.pos
         left = self.parse_and()
         while self.at_punct("@"):
             at = self.next()
@@ -234,6 +240,10 @@ class _Parser:
 
     def parse_primary(self) -> Formula:
         tok = self.next()
+        # the tokens read so far and the ")"s still owed
+        if self.pos - self.start + self.depth > MAX_FORMULA_TOKENS:
+            raise ScriptSyntaxError(
+                f"a formula spans at most {MAX_FORMULA_TOKENS} tokens", tok.span)
         if tok.kind == "NUM":
             if tok.text == "0":
                 self._reject_caret("the null proposition")
@@ -241,7 +251,9 @@ class _Parser:
             raise ScriptSyntaxError(f"unexpected number {tok.text!r} in a formula",
                                     tok.span)
         if tok.kind == "PUNCT" and tok.text == "(":
+            self.depth += 1
             inner = self.parse_formula()
+            self.depth -= 1
             self.expect_punct(")")
             self._reject_caret("a parenthesized formula")
             return inner

@@ -1,16 +1,19 @@
 """State-vector semantics for assertions and rules.
 
 Assertions (sequents with empty antecedent) denote labeled complex state
-vectors; measurement-shaped sequents denote projectors; the inference rules
-denote gates, projectors or branch superpositions.  ``verify_soundness``
-replays a checked derivation in this model and reports, per node, the
-residual between the rule's predicted conclusion state and the denotation
-of the stated conclusion.
+vectors.  The kernel's ``Verdict.action`` names what a checked rule
+instance does to its premises' states: keep, join two branches, apply a
+gate or project (qsplit, atimplrefl, and the cuts and EPR steps that
+measure).  ``predict`` reads only that action and the states, and
+``verify_soundness`` replays a checked derivation in this model and
+reports, per node, the residual between the predicted conclusion state and
+the denotation of the stated conclusion.
 
 Conventions fixed here and relied on by the corpus and by the tests:
 a negated atom is the bit |0> and the degree written on it multiplies |0>;
 wire order follows left-to-right appearance in a consequent; states are
-compared after normalization and up to a global phase.
+compared after normalization and up to a global phase; a zero-probability
+branch is the zero state.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .syntax import (
     Sequent,
     SymDegree,
     formula_str,
-    normalize,
+    normalize,  # unused here; bench/tracing.py:WRAPPED wraps qsc.semantics.normalize
     sequent_str,
 )
 
@@ -57,10 +60,6 @@ class NonDenotableSequent(Exception):
 
 
 class UnboundSymbolicDegree(Exception):
-    pass
-
-
-class NotAMeasurementShape(Exception):
     pass
 
 
@@ -231,11 +230,6 @@ def projector(wire: str, outcome: int) -> Operator:
     return Operator(f"M{outcome}", (wire,), M1_MATRIX if outcome else M0_MATRIX)
 
 
-def joint_projector(wire_a: str, wire_b: str, outcome: int) -> Operator:
-    m = M1_MATRIX if outcome else M0_MATRIX
-    return Operator(f"M{outcome}{outcome}", (wire_a, wire_b), np.kron(m, m))
-
-
 def apply(op: Operator, state: QState) -> QState:
     """Matrix action on the operator's wires, identity elsewhere.
 
@@ -342,35 +336,6 @@ def denote_assertion(s: Sequent, bindings: Optional[Dict[str, complex]] = None) 
     return state
 
 
-def denote_measurement(s: Sequent) -> Operator:
-    """The projector denoted by a measurement-shaped sequent.
-
-    ``Q_X |- X^`` is the outcome-0 projector on wire X, ``Q_X |- X`` the
-    outcome-1 projector; the two-qubit shape ``Q_X, Q_Z |-{d} w`` (the
-    teleportation premise) is the joint projection onto the branch of both
-    wires compatible with the outcome literal.
-    """
-    if len(s.consequent) != 1 or not s.antecedent:
-        raise NotAMeasurementShape(f"'{sequent_str(s)}' is not a measurement")
-    outcome = s.consequent[0]
-    if not isinstance(outcome, Atom):
-        raise NotAMeasurementShape("a measurement asserts a single bit outcome")
-    measured = [normalize(f) for f in s.antecedent]
-    if not all(isinstance(m, Qubit) and m.degrees is None for m in measured):
-        raise NotAMeasurementShape("measured formulas must be undegreed qubits")
-    bit = 0 if outcome.negated else 1
-    if len(measured) == 1:
-        if measured[0].name != outcome.name:
-            raise NotAMeasurementShape("outcome literal must name the measured wire")
-        return projector(outcome.name, bit)
-    if len(measured) == 2:
-        names = [m.name for m in measured]
-        if outcome.name not in names:
-            raise NotAMeasurementShape("outcome literal must name a measured wire")
-        return joint_projector(names[0], names[1], bit)
-    raise NotAMeasurementShape("at most two qubits are measured together")
-
-
 # ---------------------------------------------------------------------------
 # Soundness verification
 
@@ -409,17 +374,16 @@ def _drop_wires(state: QState, keep: Sequence[str], tol: float) -> QState:
 
 
 _GATES = {"H": hadamard, "CNOT": cnot}
-_PROJECTORS = {1: projector, 2: joint_projector}
 
 
-def predict(action: tuple, premises: Sequence[Derivation],
-            states: Sequence[Optional[QState]], keep: Sequence[str],
+def predict(action: tuple, states: Sequence[Optional[QState]], keep: Sequence[str],
             tol: float = DEFAULT_TOL) -> Optional[QState]:
     """The conclusion state of a checked rule instance (``Verdict.action``).
 
     ``states`` are the premises' states, ``keep`` the conclusion's wires; a
-    measurement discards the other wires once they are in a basis state.
-    None when a premise the action reads carries no state.
+    projection discards the other wires once they are in a basis state, and
+    a branch of probability zero stays the zero state.  None when a premise
+    the action reads carries no state.
     """
     kind = action[0]
     if any(s is None for s in states[:2 if kind == "join" else 1]):
@@ -432,12 +396,13 @@ def predict(action: tuple, premises: Sequence[Derivation],
     if kind == "gate":
         _, name, wires = action
         return apply(_GATES[name](*wires), state)
-    if kind == "project":
-        _, wires, bit = action
-        return apply(_PROJECTORS[len(wires)](*wires, bit), state).normalized()
-    # a cut: the second premise denotes the measurement
-    measured = apply(denote_measurement(premises[1].conclusion), state).normalized()
-    return _drop_wires(measured, keep, tol)
+    _, wires, bit = action  # a projection
+    for wire in wires:
+        state = apply(projector(wire, bit), state)
+    norm = state.norm()
+    if norm >= 1e-15:
+        state = QState(state.wires, state.amps / norm)
+    return _drop_wires(state, keep, tol)
 
 
 def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
@@ -463,21 +428,23 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
         try:
             actual = denote_assertion(node.conclusion, bindings)
             denotations[id(node)] = actual
+            states = [denotations.get(id(x)) for x in node.premises]
             if not e.verdict.action:
+                if any(s is not None for s in states):
+                    return SoundnessEntry(p, rule, "error", None,
+                                          f"rule {rule} has no state reading for its premises")
                 if node.premises:
                     return SoundnessEntry(p, rule, "nonsemantic", None,
                                           f"rule {rule} has no state semantics")
                 return SoundnessEntry(p, rule, "assumption", 0.0)
-            states = [denotations.get(id(x)) for x in node.premises]
-            predicted = predict(e.verdict.action, node.premises, states, actual.wires, tol)
+            predicted = predict(e.verdict.action, states, actual.wires, tol)
             if predicted is None:
                 return SoundnessEntry(p, rule, "nonsemantic", None,
                                       "premise carries no state")
             return SoundnessEntry(p, rule, "state", residual(predicted, actual))
         except NonDenotableSequent:
             return SoundnessEntry(p, rule, "nonsemantic", None, "conclusion carries no state")
-        except (WireMismatch, ZeroState, UnboundSymbolicDegree,
-                NotAMeasurementShape, NotNormalized) as exc:
+        except (WireMismatch, UnboundSymbolicDegree, NotNormalized) as exc:
             return SoundnessEntry(p, rule, "error", None, f"{type(exc).__name__}: {exc}")
 
     check = check_derivation(tree, mode, labels)

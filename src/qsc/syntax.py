@@ -55,18 +55,18 @@ ALPHA = SymDegree("alpha")
 BETA = SymDegree("beta")
 
 
-def degree_eq(a: Optional[Degree], b: Optional[Degree], tol: float = DEGREE_TOL) -> bool:
+def degree_eq(a: Optional[Degree], b: Optional[Degree]) -> bool:
     if a is None or b is None:
         return a is None and b is None
     if isinstance(a, SymDegree) or isinstance(b, SymDegree):
         return isinstance(a, SymDegree) and isinstance(b, SymDegree) and a.name == b.name
-    return abs(complex(a) - complex(b)) <= tol
+    return abs(complex(a) - complex(b)) <= DEGREE_TOL
 
 
-def degree_pair_eq(a: Optional[DegreePair], b: Optional[DegreePair], tol: float = DEGREE_TOL) -> bool:
+def degree_pair_eq(a: Optional[DegreePair], b: Optional[DegreePair]) -> bool:
     if a is None or b is None:
         return a is None and b is None
-    return degree_eq(a[0], b[0], tol) and degree_eq(a[1], b[1], tol)
+    return degree_eq(a[0], b[0]) and degree_eq(a[1], b[1])
 
 
 def is_concrete(degree: Optional[Degree]) -> bool:
@@ -252,7 +252,7 @@ def normalize(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_eq(f: Formula, g: Formula, tol: float = DEGREE_TOL) -> bool:
+def formula_eq(f: Formula, g: Formula) -> bool:
     """Structural identity with degree comparison up to tolerance."""
     if type(f) is not type(g):
         return False
@@ -261,13 +261,13 @@ def formula_eq(f: Formula, g: Formula, tol: float = DEGREE_TOL) -> bool:
     if isinstance(f, Null):
         return True
     if isinstance(f, Qubit):
-        return f.name == g.name and degree_pair_eq(f.degrees, g.degrees, tol)
+        return f.name == g.name and degree_pair_eq(f.degrees, g.degrees)
     if isinstance(f, And):
-        return (degree_pair_eq(f.degrees, g.degrees, tol)
-                and formula_eq(f.left, g.left, tol)
-                and formula_eq(f.right, g.right, tol))
+        return (degree_pair_eq(f.degrees, g.degrees)
+                and formula_eq(f.left, g.left)
+                and formula_eq(f.right, g.right))
     if isinstance(f, (Par, Ent)):
-        return formula_eq(f.left, g.left, tol) and formula_eq(f.right, g.right, tol)
+        return formula_eq(f.left, g.left) and formula_eq(f.right, g.right)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -276,13 +276,13 @@ def equivalent(f: Formula, g: Formula) -> bool:
     return formula_eq(normalize(f), normalize(g))
 
 
-def sequent_eq(s: Sequent, t: Sequent, tol: float = DEGREE_TOL) -> bool:
+def sequent_eq(s: Sequent, t: Sequent) -> bool:
     """Positional equality of two sequents, formulas compared structurally."""
     return (len(s.antecedent) == len(t.antecedent)
             and len(s.consequent) == len(t.consequent)
-            and degree_eq(s.degree, t.degree, tol)
-            and all(formula_eq(a, b, tol) for a, b in zip(s.antecedent, t.antecedent))
-            and all(formula_eq(a, b, tol) for a, b in zip(s.consequent, t.consequent)))
+            and degree_eq(s.degree, t.degree)
+            and all(formula_eq(a, b) for a, b in zip(s.antecedent, t.antecedent))
+            and all(formula_eq(a, b) for a, b in zip(s.consequent, t.consequent)))
 
 
 def normalize_sequent(s: Sequent) -> Sequent:
@@ -291,8 +291,8 @@ def normalize_sequent(s: Sequent) -> Sequent:
                    s.degree)
 
 
-def sequent_equivalent(s: Sequent, t: Sequent, tol: float = DEGREE_TOL) -> bool:
-    return sequent_eq(normalize_sequent(s), normalize_sequent(t), tol)
+def sequent_equivalent(s: Sequent, t: Sequent) -> bool:
+    return sequent_eq(normalize_sequent(s), normalize_sequent(t))
 
 
 def formula_wires(f: Formula) -> Tuple[str, ...]:

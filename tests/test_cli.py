@@ -98,6 +98,21 @@ class TestVerify:
         assert out.startswith(f"verify\tt:1\tpremise\terror\t-\tWireMismatch: "
                               f"{MAX_WIRES + 1} wires exceed the cap of {MAX_WIRES}")
 
+    @pytest.mark.parametrize("steps", [
+        "  1: |- Q_A premise\n  2: Q_A |- B^ premise\n",
+        "  1: |- A premise\n  2: A |- A by axiom()\n",
+        "  1: |- Q_A{0.6,0.8} premise\n  2: Q_A{0.6,0.8} |- A premise\n",
+    ], ids=["other-wire", "axiom", "degreed"])
+    def test_a_cut_that_is_not_a_measurement_is_an_error_entry(self, tmp_path, steps):
+        # the cut checks, but the replay cannot say what it does to the state
+        conclusion = "B^" if "B^" in steps else "A"
+        script = tmp_path / "cut.qsc"
+        script.write_text(f"atoms A B\ntheorem t:\n{steps}"
+                          f"  3: |- {conclusion} by cut(1, 2)\nqed\n")
+        assert run("check", str(script))[0] == 0
+        code, out, _ = run("verify", str(script), "--format", "machine")
+        assert code == 1 and "verify\tt:3\tcut\terror\t-\t" in out
+
 
 class TestRender:
     def test_ascii(self):

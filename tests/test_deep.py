@@ -2,13 +2,15 @@
 
 Every walk over a derivation goes through ``kernel.postorder``, which keeps
 its own stack; these chains are deeper than the default limit of 1,000
-frames, and the tests leave that limit as it is.
+frames, and the tests leave that limit as it is.  Formulas are walked
+recursively, so the parser bounds them to ``MAX_FORMULA_TOKENS`` tokens.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -68,14 +70,46 @@ def test_chain_ascii_render_has_two_lines_per_step():
     assert lines[0].strip() == "|- A^   [premise]" and lines[-1].strip() == "|- A^"
 
 
+def _cli(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qsc.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [["check"], ["verify"], ["render", "--style", "linear"]],
                          ids=["check", "verify", "render-linear"])
 def test_cli_on_a_deep_chain(tmp_path, argv):
     script = tmp_path / "chain.qsc"
     script.write_text(hadamard_chain(1_200))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "qsc.cli", *argv, str(script)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = _cli(*argv, script)
     assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+# One premise formula in two shapes, nested parentheses and a flat chain of
+# terms: 255 tokens are within MAX_FORMULA_TOKENS, the longer ones are not.
+def _deep_formula(shape, n):
+    return "(" * n + "A" + ")" * n if shape == "parens" else " # ".join(["A"] * n)
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "render"])
+@pytest.mark.parametrize("shape, n", [("parens", 250), ("terms", 500)])
+def test_cli_on_a_formula_past_the_bound(tmp_path, shape, n, command):
+    script = tmp_path / "deep.qsc"
+    script.write_text(f"atoms A\ntheorem t:\n  1: |- {_deep_formula(shape, n)} premise\nqed\n")
+    done = _cli(command, script)
+    assert done.returncode == 2 and done.stdout == ""
+    assert re.fullmatch(rf"{re.escape(str(script))}:3:\d+: ScriptSyntaxError: .*\n",
+                        done.stderr), done.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "render"])
+@pytest.mark.parametrize("shape, n", [("parens", 127), ("terms", 128)])
+def test_cli_on_a_formula_within_the_bound(tmp_path, shape, n, command):
+    script = tmp_path / "deep.qsc"
+    script.write_text(f"atoms A\ntheorem t:\n  1: |- {_deep_formula(shape, n)} premise\nqed\n")
+    done = _cli(command, script)
+    # 128 terms on one wire overlap, which verify reports as an error entry
+    assert done.returncode == (1 if (command, shape) == ("verify", "terms") else 0)
     assert "Traceback" not in done.stderr

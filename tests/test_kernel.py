@@ -95,6 +95,36 @@ class TestCut:
                       sq("|-{beta} C @ Q_B"), BASIC, ())
         assert v.ok
 
+    # A cut whose right premise is a measurement passes with the projection
+    # that premise denotes; any other cut passes with no state reading.
+
+    def test_measurement_zero_outcome(self):
+        v = check_cut(sq("|- Q_A"), sq("Q_A |- A^"), sq("|- A^"), BASIC, ())
+        assert v.ok and v.action == ("project", ("A",), 0)
+
+    def test_measurement_one_outcome(self):
+        v = check_cut(sq("|- Q_A"), sq("Q_A |- A"), sq("|- A"), BASIC, ())
+        assert v.ok and v.action == ("project", ("A",), 1)
+
+    def test_measurement_expanded_qubit_spelling(self):
+        v = check_cut(sq("|- A & A^"), sq("A & A^ |- A"), sq("|- A"), BASIC, ())
+        assert v.ok and v.action == ("project", ("A",), 1)
+
+    def test_joint_measurement_projects_both_wires(self):
+        v = check_cut(sq("|- (Q_A @ Q_B), Q_C{alpha, beta}"),
+                      sq("Q_A, Q_C |-{beta} C"),
+                      sq("|-{beta} C @ Q_B"), BASIC, ())
+        assert v.ok and v.action == ("project", ("A", "C"), 1)
+
+    @pytest.mark.parametrize("left, right, conclusion", [
+        ("|- Q_A", "Q_A |- B^", "|- B^"),
+        ("|- A", "A |- A", "|- A"),
+        ("|- Q_A{0.6,0.8}", "Q_A{0.6,0.8} |- A", "|- A"),
+    ], ids=["other-wire", "axiom", "degreed"])
+    def test_cut_that_is_not_a_measurement_has_no_action(self, left, right, conclusion):
+        v = check_cut(sq(left), sq(right), sq(conclusion), BASIC, ())
+        assert v.ok and v.action == ()
+
 
 # ---------------------------------------------------------------------------
 # Conjunction rules

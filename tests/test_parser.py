@@ -81,6 +81,21 @@ class TestParseFormula:
         with pytest.raises(UnknownAtom):
             parse_formula("D", atoms=("A", "B"))
 
+    def test_a_formula_spans_at_most_256_tokens(self):
+        # 255 tokens in two shapes parse, one more parenthesis or term fails
+        # at the first atom past the bound
+        assert parse_formula("(" * 127 + "A" + ")" * 127) == A
+        assert isinstance(parse_formula(" # ".join(["A"] * 128)), Par)
+        for text, column in (("(" * 128 + "A" + ")" * 128, 129),
+                             (" # ".join(["A"] * 129), 513)):
+            with pytest.raises(ScriptSyntaxError) as exc:
+                parse_formula(text)
+            assert (exc.value.span.line, exc.value.span.column) == (1, column)
+
+    def test_the_bound_is_per_formula(self):
+        terms = " # ".join(["A"] * 128)
+        assert len(parse_sequent(f"{terms}, {terms} |- {terms}, {terms}").consequent) == 2
+
     @given(gen.formulas())
     def test_round_trip(self, f):
         assert parse_formula(formula_str(f)) == f

@@ -10,10 +10,7 @@ from qsc.kernel import check_derivation
 from qsc.parser import parse_script, parse_sequent, script_labels
 from qsc.semantics import (
     H_MATRIX,
-    M0_MATRIX,
-    M1_MATRIX,
     NonDenotableSequent,
-    NotAMeasurementShape,
     NotNormalized,
     QState,
     UnboundSymbolicDegree,
@@ -23,7 +20,6 @@ from qsc.semantics import (
     cnot,
     combine_parallel,
     denote_assertion,
-    denote_measurement,
     entanglement_entropy,
     fidelity,
     hadamard,
@@ -107,29 +103,6 @@ class TestDenoteAssertion:
     def test_unnormalized_bindings_rejected(self):
         with pytest.raises(NotNormalized):
             denote("|- Q_C{alpha, beta}", {"alpha": 1 + 0j, "beta": 1 + 0j})
-
-
-class TestDenoteMeasurement:
-    def test_zero_outcome(self):
-        op = denote_measurement(parse_sequent("Q_A |- A^"))
-        assert op.wires == ("A",) and np.array_equal(op.matrix, M0_MATRIX)
-
-    def test_one_outcome(self):
-        op = denote_measurement(parse_sequent("Q_A |- A"))
-        assert np.array_equal(op.matrix, M1_MATRIX)
-
-    def test_expanded_qubit_spelling(self):
-        op = denote_measurement(parse_sequent("A & A^ |- A"))
-        assert np.array_equal(op.matrix, M1_MATRIX)
-
-    def test_joint_projection(self):
-        op = denote_measurement(parse_sequent("Q_A, Q_C |-{beta} C"))
-        assert op.wires == ("A", "C")
-        assert np.array_equal(op.matrix, np.kron(M1_MATRIX, M1_MATRIX))
-
-    def test_plain_assertion_is_not_a_measurement(self):
-        with pytest.raises(NotAMeasurementShape):
-            denote_measurement(parse_sequent("|- A"))
 
 
 # ---------------------------------------------------------------------------

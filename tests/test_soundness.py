@@ -7,12 +7,15 @@ calculus's soundness, made executable), and no tree, checked or not, makes
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 import conftest as gen
+from qsc.corpus import CORPUS, load_entry
 from qsc.kernel import LogicMode, check_derivation
+from qsc.parser import script_labels
 from qsc.semantics import verify_soundness
 
 RULES_COVERED = {"premise", "hrule", "hinverse", "cnot", "qsplit", "parallel",
@@ -55,3 +58,32 @@ def test_the_generator_reaches_every_rule_and_cnot_clause():
     assert rules == RULES_COVERED
     assert {("a",), ("b",), ("a'",), ("b'",)} <= clauses
     assert {("phi",), ("pos",), ("neg",), ("and",), ("at",)} <= atform_params
+
+
+def test_every_passing_verdict_names_one_action_kind():
+    trees = [t.derivation for entry in CORPUS for t in load_entry(entry).theorems]
+    trees += [gen.valid_tree(random.Random(seed)) for seed in range(1000)]
+    kinds = set()
+    for tree in trees:
+        for e in check_derivation(tree, LogicMode.BASIC).entries:
+            if e.verdict.ok:
+                kinds.add(e.verdict.action[:1])
+    assert kinds == {(), ("keep",), ("join",), ("gate",), ("project",)}
+
+
+def _unit_pairs():
+    yield from [(1, 0), (0, 1), (0, 1j), (1j, 0)]
+    rng = random.Random(2018)
+    for _ in range(50):
+        a, b = (complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
+        norm = math.hypot(abs(a), abs(b))
+        yield a / norm, b / norm
+
+
+def test_teleportation_verifies_for_every_input_qubit():
+    script = load_entry(next(e for e in CORPUS if e.name == "tel"))
+    tree, labels = script.theorems[0].derivation, script_labels(script)
+    for alpha, beta in _unit_pairs():
+        report = verify_soundness(tree, bindings={"alpha": alpha, "beta": beta},
+                                  labels=labels)
+        assert report.ok and report.max_residual <= 1e-9, (alpha, beta, report.entries)
