@@ -141,7 +141,7 @@ def run_entry(entry: CorpusEntry, mode: LogicMode = LogicMode.BASIC,
         if report.ok:
             sound = verify_soundness(theorem.derivation, mode, tol, bindings, labels)
             verify_ok = verify_ok and sound.ok
-            max_residual = max(max_residual, sound.max_residual)
+            max_residual = float(np.maximum(max_residual, sound.max_residual))
         else:
             verify_ok = False
     final = script.theorems[-1]

@@ -317,22 +317,33 @@ def check_negrefl(premise: Sequent, conclusion: Sequent,
 # Cut.  Three recognized shapes:
 #   standard     (Gamma |- ... A ... ; [Delta,] A |- Xi)  =>  spliced join
 #   collapse     (Gamma |- (Q_X @ Q_Y) ; Q_X |- w)        =>  Gamma |- (w @ Q_Y)
-#   bell         (|- (Q_X @ Q_Y), Q_Z ; Q_X, Q_Z |-{d} w) =>  |-{d} (w @ Q_Y)
-# The last two realize measurements inside an entangled assertion; the bell
-# shape is the joint two-qubit measurement of the teleportation proof and
-# carries the outcome's assertion degree onto the conclusion.
+#   joint        (|- (Q_X @ Q_Y), Q_Z ; Q_X, Q_Z |-{d} w) =>  |-{d} (w @ Q_Y)
+# The last two realize measurements inside an entangled assertion; the joint
+# shape is the two-qubit measurement of the teleportation proof and carries
+# the outcome's assertion degree onto the conclusion.  Both, and the EPR
+# macro, read the right premise with ``_measured`` and collapse with ``_collapse``.
+
+def _measured(right: Sequent) -> Optional[Tuple[Tuple[Qubit, ...], Atom]]:
+    """The qubits the right premise of a cut or EPR step measures and the
+    outcome, or ``None``: one or two qubits (degrees allowed) measured into
+    one literal on one of their wires."""
+    qubits = tuple(normalize(f) for f in right.antecedent)
+    outcome = _literal(right.consequent[0]) if len(right.consequent) == 1 else None
+    if (outcome is None or not 1 <= len(qubits) <= 2
+            or not all(isinstance(q, Qubit) for q in qubits)
+            or outcome.name not in {q.name for q in qubits}):
+        return None
+    return qubits, outcome
+
 
 def _measurement(right: Sequent) -> tuple:
     """The projection the right premise of a cut or EPR step denotes, or
-    ``()``: one or two undegreed qubits measured into an outcome literal on
-    one of their wires."""
-    measured = [normalize(f) for f in right.antecedent]
-    outcome = _literal(right.consequent[0]) if len(right.consequent) == 1 else None
-    if (outcome is None or not 1 <= len(measured) <= 2
-            or not all(isinstance(m, Qubit) and m.degrees is None for m in measured)):
+    ``()`` unless it measures undegreed qubits."""
+    measured = _measured(right)
+    if measured is None or any(q.degrees is not None for q in measured[0]):
         return ()
-    wires = tuple(m.name for m in measured)
-    return ("project", wires, int(not outcome.negated)) if outcome.name in wires else ()
+    qubits, outcome = measured
+    return ("project", tuple(q.name for q in qubits), int(not outcome.negated))
 
 
 def _find_formula(formulas: Sequence[Formula], target: Formula) -> Optional[int]:
@@ -343,58 +354,47 @@ def _find_formula(formulas: Sequence[Formula], target: Formula) -> Optional[int]
     return None
 
 
-def _ent_party_index(ent: Ent, wire: str) -> Optional[str]:
+def _collapse_ent(ent: Ent, wire: str, outcome: Atom) -> Optional[Ent]:
     if isinstance(ent.left, Qubit) and ent.left.name == wire:
-        return "left"
+        return Ent(outcome, ent.right)
     if isinstance(ent.right, Qubit) and ent.right.name == wire:
-        return "right"
+        return Ent(ent.left, outcome)
     return None
 
 
-def _collapse_ent(ent: Ent, wire: str, outcome: Atom) -> Optional[Ent]:
-    side = _ent_party_index(ent, wire)
-    if side is None:
-        return None
-    if side == "left":
-        return Ent(outcome, ent.right)
-    return Ent(ent.left, outcome)
+def _collapse(left: Sequent, qubits: Tuple[Qubit, ...],
+              outcome: Atom) -> Optional[Tuple[Formula, ...]]:
+    """``left``'s consequent after the measurement, or ``None``: the first
+    @ formula with a qubit party on the measured wire (the measured wire
+    apart from the outcome's, else the outcome's) has it replaced by the
+    outcome.  A joint measurement also consumes the first qubit on the
+    outcome's wire, matched by wire as the measured copy is undegreed."""
+    wire = next((q.name for q in qubits if q.name != outcome.name), outcome.name)
+    for i, f in enumerate(left.consequent):
+        ent = normalize(f)
+        collapsed = _collapse_ent(ent, wire, outcome) if isinstance(ent, Ent) else None
+        if collapsed is not None:
+            consequent = _splice(left.consequent, i, (collapsed,))
+            if len(qubits) == 1:
+                return consequent
+            j = next((k for k, g in enumerate(left.consequent)
+                      if isinstance(q := normalize(g), Qubit) and q.name == outcome.name), None)
+            return None if j is None else _splice(consequent, j, ())
+    return None
 
 
 def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
               mode: LogicMode, params: Tuple[Param, ...]) -> Verdict:
-    cut_formula = None
-    for p in params:
-        if isinstance(p, Formula):
-            cut_formula = p
+    cut_formula = next((p for p in reversed(params) if isinstance(p, Formula)), None)
 
-    right_qubits = [f for f in right.antecedent if isinstance(normalize(f), Qubit)]
-
-    # Bell-measurement shape (two measured qubits on the right premise).
-    if cut_formula is None and len(right.antecedent) == 2 \
-            and len(right_qubits) == 2 and len(right.consequent) == 1:
-        outcome = _literal(right.consequent[0])
-        if outcome is not None:
-            verdict = _check_bell_cut(left, right, conclusion, outcome)
-            if verdict is not None:
-                return verdict
-
-    # Collapse shape (measurement of one party of an entangled assertion).
-    if cut_formula is None and len(right.antecedent) == 1 \
-            and len(right.consequent) == 1:
-        measured = normalize(right.antecedent[0])
-        outcome = _literal(right.consequent[0])
-        if isinstance(measured, Qubit) and outcome is not None \
-                and outcome.name == measured.name \
-                and _find_formula(left.consequent, measured) is None:
-            for i, f in enumerate(left.consequent):
-                g = normalize(f)
-                if isinstance(g, Ent):
-                    collapsed = _collapse_ent(g, measured.name, outcome)
-                    if collapsed is not None:
-                        expected = Sequent(left.antecedent,
-                                           _splice(left.consequent, i, (collapsed,)),
-                                           right.degree)
-                        return _conclusion_check(conclusion, expected, action=_measurement(right))
+    # Collapse and joint shapes: a measurement of a party of an @ formula.
+    measured = _measured(right) if cut_formula is None else None
+    if measured is not None and (len(measured[0]) == 2
+                                 or _find_formula(left.consequent, measured[0][0]) is None):
+        consequent = _collapse(left, *measured)
+        if consequent is not None:
+            expected = Sequent(left.antecedent, consequent, right.degree)
+            return _conclusion_check(conclusion, expected, action=_measurement(right))
 
     # Standard cut.
     if cut_formula is None:
@@ -421,33 +421,6 @@ def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
                        _splice(left.consequent, left_pos, right.consequent),
                        degree)
     return _conclusion_check(conclusion, expected, action=_measurement(right))
-
-
-def _check_bell_cut(left: Sequent, right: Sequent, conclusion: Sequent,
-                    outcome: Atom) -> Optional[Verdict]:
-    q1, q2 = (normalize(f) for f in right.antecedent)
-    ents = [(i, normalize(f)) for i, f in enumerate(left.consequent)
-            if isinstance(normalize(f), Ent)]
-    for i, ent in ents:
-        for measured, spectator in ((q1, q2), (q2, q1)):
-            if outcome.name != spectator.name:
-                continue
-            collapsed = _collapse_ent(ent, measured.name, outcome)
-            if collapsed is None:
-                continue
-            # the spectator matches by wire: the measured copy is undegreed
-            # even when the assertion carries the unknown state's degrees
-            j = next((k for k, f in enumerate(left.consequent)
-                      if k != i and isinstance(normalize(f), Qubit)
-                      and normalize(f).name == spectator.name), None)
-            if j is None:
-                continue
-            consequent = list(left.consequent)
-            consequent[i] = collapsed
-            del consequent[j]
-            expected = Sequent(left.antecedent, tuple(consequent), right.degree)
-            return _conclusion_check(conclusion, expected, action=_measurement(right))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +496,19 @@ def check_atimplrefl(premise: Sequent, conclusion: Sequent,
     ent = normalize(premise.consequent[0])
     if not isinstance(ent, Ent):
         return _fail("SchemaMismatch", "premise must assert an entangled pair")
-    lq, rq = _full_qubit(ent.left), _full_qubit(ent.right)
-    if lq is None or rq is None:
+    if _full_qubit(ent.left) is None or _full_qubit(ent.right) is None:
         return _fail("SchemaMismatch", "both parties must still be qubits")
     branch = str(params[0]) if params else "pos"
     if branch not in ("pos", "neg"):
         return _fail("SchemaMismatch", f"unknown branch {branch!r}")
     negated = branch == "neg"
-    expected = Sequent(premise.antecedent,
-                       (Atom(lq.name, negated), Atom(rq.name, negated)),
-                       premise.degree)
     # operand order as stated in the premise, before commutative reordering
     stated = premise.consequent[0]
-    if isinstance(stated, Ent):
-        lw = party_wire(stated.left)
-        rw = party_wire(stated.right)
-        expected = Sequent(premise.antecedent,
-                           (Atom(lw, negated), Atom(rw, negated)),
-                           premise.degree)
+    parties = stated if isinstance(stated, Ent) else ent
+    expected = Sequent(premise.antecedent,
+                       (Atom(party_wire(parties.left), negated),
+                        Atom(party_wire(parties.right), negated)),
+                       premise.degree)
     action = ("project", tuple(a.name for a in expected.consequent), int(not negated))
     if sequent_equivalent(conclusion, expected):
         return Verdict.passed(action=action)
@@ -717,37 +685,21 @@ def check_cnot(premise: Sequent, conclusion: Sequent,
 # par formation; each sub-step is re-checked with the same code paths as
 # the named rules.
 
-def epr_expansion(left: Sequent, right: Sequent) -> Optional[Tuple[Sequent, Sequent, Sequent]]:
-    """The two intermediate sequents and final conclusion of the macro."""
-    if len(left.consequent) != 1 or len(right.antecedent) != 1 \
-            or len(right.consequent) != 1:
-        return None
-    ent = normalize(left.consequent[0])
-    measured = normalize(right.antecedent[0])
-    outcome = _literal(right.consequent[0])
-    if not isinstance(ent, Ent) or not isinstance(measured, Qubit) or outcome is None:
-        return None
-    if outcome.name != measured.name:
-        return None
-    collapsed = _collapse_ent(ent, measured.name, outcome)
-    if collapsed is None:
-        return None
-    partner_qubit = collapsed.right if isinstance(collapsed.left, Atom) else collapsed.left
-    partner = Atom(partner_qubit.name, outcome.negated)
-    mid1 = Sequent(left.antecedent, (collapsed,), right.degree)
-    mid2 = Sequent(left.antecedent, (outcome, partner), right.degree)
-    final = Sequent(left.antecedent, (Par(outcome, partner),), right.degree)
-    return mid1, mid2, final
-
-
 def check_epr(left: Sequent, right: Sequent, conclusion: Sequent,
               mode: LogicMode) -> Verdict:
-    expansion = epr_expansion(left, right)
-    if expansion is None:
+    measured = _measured(right)
+    single = measured is not None and len(measured[0]) == 1 and len(left.consequent) == 1
+    consequent = _collapse(left, *measured) if single else None
+    if consequent is None:
         return _fail("SchemaMismatch",
                      "EPR needs an entangled assertion and a measurement "
                      "of one of its parties")
-    mid1, mid2, final = expansion
+    outcome, (collapsed,) = measured[1], consequent
+    partner = Atom(party_wire(collapsed.right if isinstance(collapsed.left, Atom)
+                              else collapsed.left), outcome.negated)
+    mid1 = Sequent(left.antecedent, consequent, right.degree)
+    mid2 = Sequent(left.antecedent, (outcome, partner), right.degree)
+    final = Sequent(left.antecedent, (Par(outcome, partner),), right.degree)
     sub = check_cut(left, right, mid1, mode, ())
     if not sub.ok:
         return _fail(sub.code, f"collapse step: {sub.message}")

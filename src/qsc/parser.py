@@ -26,6 +26,7 @@ parentheses override.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -131,9 +132,12 @@ def tokenize(text: str) -> List[Token]:
 
 def _parse_number(token: Token) -> complex:
     try:
-        return complex(token.text.replace("i", "j"))
+        value = complex(token.text.replace("i", "j"))
     except ValueError:
         raise ScriptSyntaxError(f"bad numeric literal {token.text!r}", token.span)
+    if not cmath.isfinite(value):
+        raise ScriptSyntaxError(f"numeric literal {token.text!r} is not finite", token.span)
+    return value
 
 
 # ---------------------------------------------------------------------------

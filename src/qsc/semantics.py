@@ -81,8 +81,11 @@ def check_bindings(bindings: Optional[Dict[str, complex]]) -> None:
     if not bindings:
         return
     if "alpha" in bindings and "beta" in bindings:
-        total = abs(complex(bindings["alpha"])) ** 2 + abs(complex(bindings["beta"])) ** 2
-        if abs(total - 1.0) > DEFAULT_TOL:
+        try:
+            total = abs(complex(bindings["alpha"])) ** 2 + abs(complex(bindings["beta"])) ** 2
+        except OverflowError:
+            total = math.inf
+        if not abs(total - 1.0) <= DEFAULT_TOL:
             raise NotNormalized(
                 f"|alpha|^2 + |beta|^2 = {total!r}, expected 1 within {DEFAULT_TOL}")
 
@@ -450,7 +453,7 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
     check = check_derivation(tree, mode, labels)
     entries = [entry(e) for e in check.entries]
     residuals = [e.residual for e in entries if e.kind == "state"]
-    max_residual = max(residuals) if residuals else 0.0
+    max_residual = float(np.max(residuals)) if residuals else 0.0  # NaN propagates
     ok = (max_residual <= tol
           and not any(e.kind == "error" for e in entries))
     return SoundnessReport(ok, tol, max_residual, entries, check.ok)

@@ -55,12 +55,20 @@ ALPHA = SymDegree("alpha")
 BETA = SymDegree("beta")
 
 
+def _negligible(z: complex) -> bool:
+    """|z| <= DEGREE_TOL; a modulus past the float range is not negligible."""
+    try:
+        return abs(z) <= DEGREE_TOL
+    except OverflowError:
+        return False
+
+
 def degree_eq(a: Optional[Degree], b: Optional[Degree]) -> bool:
     if a is None or b is None:
         return a is None and b is None
     if isinstance(a, SymDegree) or isinstance(b, SymDegree):
         return isinstance(a, SymDegree) and isinstance(b, SymDegree) and a.name == b.name
-    return abs(complex(a) - complex(b)) <= DEGREE_TOL
+    return _negligible(complex(a) - complex(b))
 
 
 def degree_pair_eq(a: Optional[DegreePair], b: Optional[DegreePair]) -> bool:
@@ -189,13 +197,13 @@ def _canonical_qubit(name: str, amp0: Degree, amp1: Degree) -> Formula:
     """Fold per-polarity amplitudes back into the smallest formula."""
     if is_concrete(amp0) and is_concrete(amp1):
         a0, a1 = complex(amp0), complex(amp1)
-        if abs(a0) <= DEGREE_TOL and abs(a1) <= DEGREE_TOL:
+        if _negligible(a0) and _negligible(a1):
             return NULL
-        if abs(a1) <= DEGREE_TOL:
+        if _negligible(a1):
             return Atom(name, negated=True)
-        if abs(a0) <= DEGREE_TOL:
+        if _negligible(a0):
             return Atom(name, negated=False)
-        if abs(a0 - SQRT1_2) <= DEGREE_TOL and abs(a1 - SQRT1_2) <= DEGREE_TOL:
+        if _negligible(a0 - SQRT1_2) and _negligible(a1 - SQRT1_2):
             return Qubit(name)
     return Qubit(name, (amp0, amp1))
 
@@ -234,7 +242,7 @@ def normalize(f: Formula) -> Formula:
                 return left
             if is_concrete(degrees[0]) and is_concrete(degrees[1]):
                 total = complex(degrees[0]) + complex(degrees[1])
-                if abs(total) <= DEGREE_TOL:
+                if _negligible(total):
                     return NULL
                 # surviving amplitude is tracked by the denotation layer
                 return left

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import hypothesis.strategies as st
@@ -254,6 +255,29 @@ def _measured(rng: random.Random, x: str, y: str) -> Derivation:
     return node
 
 
+def _joint_measured(rng: random.Random, x: str, y: str) -> Derivation:
+    """TEL's first steps: |- (Q_x @ Q_y), Q_z{a,b} cut with Q_w, Q_z |-{d} z
+    for w one of x and y, where d is Q_z's amplitude on the outcome, then
+    perhaps semi-distributivity."""
+    z = next(w for w in ATOM_NAMES if w not in (x, y))
+    # a unit pair with neither amplitude near 0, so Q_z stays a qubit
+    t, phase = rng.uniform(0.1, 1.4), rng.uniform(0, 2 * math.pi)
+    amps = (complex(math.cos(t)), complex(math.cos(phase), math.sin(phase)) * math.sin(t))
+    pair = Ent(Qubit(x), Qubit(y))
+    consequent = rng.sample((pair, Qubit(z, amps)), 2)
+    measured = rng.choice((x, y))
+    outcome = Atom(z, rng.random() < 0.5)
+    degree = amps[0] if outcome.negated else amps[1]
+    measured_copies = tuple(Qubit(w) for w in rng.sample((measured, z), 2))
+    right = Derivation("premise", Sequent(measured_copies, (outcome,), degree))
+    collapsed = Ent(outcome, Qubit(y)) if measured == x else Ent(Qubit(x), outcome)
+    node = Derivation("cut", Sequent((), (collapsed,), degree), (_leaf((), consequent), right))
+    if rng.random() < 0.5:
+        partner = Atom(y if measured == x else x, outcome.negated)
+        node = Derivation("semidistrib", Sequent((), (outcome, partner), degree), (node,))
+    return node
+
+
 def _cut_split(rng: random.Random, wires) -> Derivation:
     """A measurement of one qubit of a register, by a standard cut."""
     source = _leaf((), tuple(Qubit(w) for w in wires))
@@ -268,7 +292,7 @@ def valid_tree(rng: random.Random) -> Derivation:
     """A derivation built forward from the rule schemas, so it checks."""
     wires = rng.sample(ATOM_NAMES, rng.randrange(1, 4))
     x, y = rng.sample(ATOM_NAMES, 2)
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0:
         return _hadamard_chain(rng, wires[0])
     if kind == 1:
@@ -281,4 +305,6 @@ def valid_tree(rng: random.Random) -> Derivation:
         return _split_join(rng, wires)
     if kind == 3:
         return _measured(rng, x, y)
+    if kind == 4:
+        return _joint_measured(rng, x, y)
     return _cut_split(rng, wires)

@@ -98,6 +98,21 @@ class TestVerify:
         assert out.startswith(f"verify\tt:1\tpremise\terror\t-\tWireMismatch: "
                               f"{MAX_WIRES + 1} wires exceed the cap of {MAX_WIRES}")
 
+    def test_a_nan_residual_fails(self, tmp_path):
+        # the degrees overflow the replay; NaN must not hide behind a 0 residual
+        script = tmp_path / "nan.qsc"
+        script.write_text("atoms A B\ntheorem t:\n"
+                          "  1: |-{1} Q_A, Q_B premise\n"
+                          "  2: |-{1} Q_A # Q_B by parform(1)\n"
+                          "  3: |-{1e308} Q_A{1e308, 1}, Q_B premise\n"
+                          "  4: |-{1e308} Q_A{1e308, 1} # Q_B by parform(3)\n"
+                          "  5: |- (Q_A # Q_B) &{1, 1e308} (Q_A{1e308, 1} # Q_B)"
+                          " by andform(2, 4)\nqed\n")
+        assert run("check", str(script))[0] == 0
+        code, out, _ = run("verify", str(script), "--format", "machine")
+        assert code == 1 and "verify\tt:4\tparform\tstate\tnan" in out
+        assert "max_residual\tnan\nresult\tfail" in out
+
     @pytest.mark.parametrize("steps", [
         "  1: |- Q_A premise\n  2: Q_A |- B^ premise\n",
         "  1: |- A premise\n  2: A |- A by axiom()\n",
@@ -170,7 +185,8 @@ class TestTeleport:
 # normalization is judged at one tolerance.
 @pytest.mark.parametrize("command", [["verify", str(CORPUS / "h-rule.qsc")], ["corpus"],
                                      ["teleport"]])
-@pytest.mark.parametrize("values", [["--beta", "0.9"], ["--tol", "1e-3", "--beta", "0.80001"]])
+@pytest.mark.parametrize("values", [["--beta", "0.9"], ["--tol", "1e-3", "--beta", "0.80001"],
+                                    ["--alpha", "nan"], ["--alpha", "1.7e308+1.7e308i"]])
 def test_unnormalized_bindings_are_an_input_error(command, values):
     code, out, err = run(*command, *values)
     assert code == 2 and out == ""

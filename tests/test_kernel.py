@@ -319,6 +319,54 @@ class TestEpr:
             assert m.ok == e.ok is True
 
 
+# One row per measurement shape that cut and EPR must tell apart: the rule,
+# its two premises, the stated conclusion and the (ok, code, message,
+# action) of the verdict.
+NO_CUT_FORMULA = "cannot identify a unique cut formula; name it explicitly"
+MEASUREMENTS = [
+    pytest.param("cut", "|- Q_A @ Q_B", "Q_A, Q_C |- C", "|- C @ Q_B",
+                 (False, "CutFormulaMismatch", NO_CUT_FORMULA, ()),
+                 id="joint-without-spectator"),
+    pytest.param("cut", "|- (Q_A @ Q_B), Q_A", "Q_A, Q_A |- A", "|- A @ Q_B",
+                 (True, "ok", "", ("project", ("A", "A"), 1)),
+                 id="joint-both-on-the-outcome-wire"),
+    pytest.param("cut", "|- (Q_B @ Q_D), (Q_A @ Q_E), Q_C{alpha, beta}",
+                 "Q_A, Q_C |-{beta} C", "|-{beta} (Q_B @ Q_D), (C @ Q_E)",
+                 (True, "ok", "", ("project", ("A", "C"), 1)),
+                 id="joint-into-the-second-ent"),
+    pytest.param("cut", "|- (Q_A @ Q_B), Q_A", "Q_A |- A", "|- (Q_A @ Q_B), A",
+                 (True, "ok", "", ("project", ("A",), 1)),
+                 id="measured-qubit-also-on-the-left-is-a-standard-cut"),
+    pytest.param("cut", "|- Q_A{0.6, 0.8} @ Q_B", "Q_A{0.6, 0.8} |- A", "|- A @ Q_B",
+                 (True, "ok", "", ()),
+                 id="degreed-measured-qubit"),
+    pytest.param("cut", "|- Q_A @ Q_B", "Q_C |- C", "|- C @ Q_B",
+                 (False, "CutFormulaMismatch", NO_CUT_FORMULA, ()),
+                 id="collapse-on-neither-party"),
+    pytest.param("epr", "|- A^ @ Q_B", "Q_B |- B", "|- B # B",
+                 (False, "SchemaMismatch", "semi-distributivity step: "
+                  "premise must contain exactly one mixed @ formula", ()),
+                 id="epr-on-a-collapsed-pair"),
+    pytest.param("epr", "|- Q_A @ Q_B", "Q_A, Q_C |- C", "|- C # B",
+                 (False, "SchemaMismatch", "EPR needs an entangled assertion "
+                  "and a measurement of one of its parties", ()),
+                 id="epr-with-two-measured-qubits"),
+    pytest.param("epr", "|- Q_A @ Q_B{0.6, 0.8}", "Q_A |- A", "|- A # B",
+                 (True, "ok", "", ("project", ("A",), 1)),
+                 id="epr-with-a-degreed-partner"),
+    pytest.param("epr", "|- Q_A @ Q_B", "Q_A |- A", "|- A # B^",
+                 (False, "ConclusionMismatch",
+                  "stated '|- A # B^' does not match schema conclusion '|- A # B'", ()),
+                 id="epr-with-a-wrong-conclusion"),
+]
+
+
+@pytest.mark.parametrize("rule, left, right, conclusion, expected", MEASUREMENTS)
+def test_measurement_verdicts(rule, left, right, conclusion, expected):
+    args = (sq(left), sq(right), sq(conclusion), BASIC)
+    v = check_cut(*args, ()) if rule == "cut" else check_epr(*args)
+    assert (v.ok, v.code, v.message, v.action) == expected
+
 # ---------------------------------------------------------------------------
 # Parallel joins
 
