@@ -2,8 +2,8 @@
 
 Commands: ``check``, ``verify``, ``render``, ``corpus``, ``teleport``.
 Exit codes, fixed for CI use: 0 success, 1 semantic or structural failure,
-2 unreadable or unparseable input, 3 phase-order error (verify requested
-on a script that fails the structural check).
+2 unreadable or unparseable input or an unwritable ``--out``, 3 phase-order
+error (verify requested on a script that fails the structural check).
 """
 
 from __future__ import annotations
@@ -39,17 +39,17 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
-def _read_script(path: str, out) -> Optional[ProofScript]:
+def _read_script(path: str) -> Optional[ProofScript]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=out)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
         return parse_script(text)
     except ScriptError as exc:
-        print(f"{path}:{exc.span}: {type(exc).__name__}: {exc.message}", file=out)
+        print(f"{path}:{exc.span}: {type(exc).__name__}: {exc.message}", file=sys.stderr)
         return None
 
 
@@ -90,13 +90,20 @@ def _format_soundness(report: SoundnessReport, layout: str) -> List[str]:
     return lines
 
 
-def _emit(lines: List[str], out_path: Optional[str]) -> None:
+def _emit(lines: List[str], out_path: Optional[str]) -> bool:
+    """Write the report; False after reporting that ``out_path`` cannot be
+    written."""
     text = "\n".join(lines) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _bindings(args) -> Optional[Dict[str, complex]]:
@@ -112,7 +119,7 @@ def _bindings(args) -> Optional[Dict[str, complex]]:
 
 
 def cmd_check(args) -> int:
-    script = _read_script(args.path, sys.stderr)
+    script = _read_script(args.path)
     if script is None:
         return EXIT_INPUT
     mode = LogicMode(args.mode)
@@ -125,7 +132,8 @@ def cmd_check(args) -> int:
         report = check_derivation(theorem.derivation, mode, labels)
         lines.extend(_format_check(report, args.format))
         ok = ok and report.ok
-    _emit(lines, args.out)
+    if not _emit(lines, args.out):
+        return EXIT_INPUT
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -133,7 +141,7 @@ def cmd_verify(args) -> int:
     bindings = _bindings(args)
     if bindings is None:
         return EXIT_INPUT
-    script = _read_script(args.path, sys.stderr)
+    script = _read_script(args.path)
     if script is None:
         return EXIT_INPUT
     mode = LogicMode(args.mode)
@@ -150,12 +158,13 @@ def cmd_verify(args) -> int:
         if args.format == "human":
             lines.append(f"theorem {theorem.name}:")
         lines.extend(_format_soundness(report, args.format))
-    _emit(lines, args.out)
+    if not _emit(lines, args.out):
+        return EXIT_INPUT
     return EXIT_OK if all(r.ok for r in reports) else EXIT_FAILURE
 
 
 def cmd_render(args) -> int:
-    script = _read_script(args.path, sys.stderr)
+    script = _read_script(args.path)
     if script is None:
         return EXIT_INPUT
     lines: List[str] = []
@@ -163,8 +172,7 @@ def cmd_render(args) -> int:
         lines.append(f"-- theorem {theorem.name}")
         lines.append(render(theorem.derivation, args.style).rstrip("\n"))
         lines.append("")
-    _emit(lines, args.out)
-    return EXIT_OK
+    return EXIT_OK if _emit(lines, args.out) else EXIT_INPUT
 
 
 def cmd_corpus(args) -> int:
@@ -194,7 +202,8 @@ def cmd_corpus(args) -> int:
                          f"{r.max_residual:<10.1e} {semantic}{note}")
         passed = sum(1 for r in results if r.ok)
         lines.append(f"{passed}/{len(results)} corpus entries pass ({mode.value} mode)")
-    _emit(lines, args.out)
+    if not _emit(lines, args.out):
+        return EXIT_INPUT
     divergent = [r.name for r in results if not r.ok]
     if divergent:
         print("divergent entries: " + ", ".join(divergent), file=sys.stderr)
@@ -218,7 +227,8 @@ def cmd_teleport(args) -> int:
         for o in outcomes:
             lines.append(f"  {o.bell_outcome:<8} {o.probability:<12.6f} "
                          f"{o.correction:<11} {o.fidelity:.9f}")
-    _emit(lines, args.out)
+    if not _emit(lines, args.out):
+        return EXIT_INPUT
     ok = all(abs(o.probability - 0.25) <= args.tol and abs(o.fidelity - 1.0) <= args.tol
              for o in outcomes)
     return EXIT_OK if ok else EXIT_FAILURE

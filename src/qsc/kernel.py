@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .syntax import (
+    EVEN_DEGREES,
     SQRT1_2,
     And,
     Atom,
@@ -82,11 +83,10 @@ class Verdict:
     On a pass, ``action`` is the rule instance the checker matched, as the
     state-vector replay reads it: ``("keep",)`` passes the first premise's
     state on, ``("join",)`` joins the two premises' states as branches,
-    ``("cut",)`` measures the first premise's state with the projector the
-    second premise denotes, ``("gate", name, wires)`` applies the gate
-    ``"H"`` or ``"CNOT"`` to the first premise's state, and
-    ``("project", wires, bit)`` projects it onto ``bit`` on every one of
-    ``wires``.  Leaves and rules without a state reading carry ``()``.
+    ``("gate", name, wires)`` applies the gate ``"H"`` or ``"CNOT"`` to the
+    first premise's state, and ``("project", wires, bit)`` projects it onto
+    ``bit`` on every one of ``wires``.  Leaves and rules without a state
+    reading carry ``()``.
     """
 
     ok: bool
@@ -605,7 +605,7 @@ def check_qsplit(premises: Tuple[Sequent, ...], conclusion: Sequent,
 # ---------------------------------------------------------------------------
 # Structural rules for the quantum gates
 
-_H_PLUS = (complex(SQRT1_2), complex(SQRT1_2))
+_H_PLUS = EVEN_DEGREES
 _H_MINUS = (complex(SQRT1_2), complex(-SQRT1_2))
 
 

@@ -13,25 +13,20 @@ from .kernel import Derivation, postorder
 from .syntax import Formula, formula_str, formula_wires, sequent_str
 
 _DISPLAY = {
-    "axiom": "axiom",
-    "premise": "premise",
     "ataxiom": "@ax",
     "andform": "&R",
     "andrefl": "&L",
     "parform": "#R",
     "negform": "neg-form",
     "negrefl": "neg-refl",
-    "cut": "cut",
     "atform": "@form",
     "atimplrefl": "@impl-refl",
     "atexplrefl": "@expl-refl",
     "semidistrib": "semidist",
-    "qsplit": "qsplit",
     "hrule": "H",
     "hinverse": "H^-1",
     "cnot": "CNOT",
     "epr": "EPR",
-    "parallel": "join",
 }
 
 
@@ -65,7 +60,7 @@ def _param_text(node: Derivation) -> str:
     return f"[{', '.join(parts)}]"
 
 
-def render_linear(tree: Derivation, name: str = "t") -> str:
+def render_linear(tree: Derivation) -> str:
     """Emit a complete script whose single theorem rebuilds the tree."""
     wires: set = set()
     numbering: Dict[int, int] = {}
@@ -83,7 +78,7 @@ def render_linear(tree: Derivation, name: str = "t") -> str:
             if isinstance(f, Formula):
                 wires.update(formula_wires(f))
     atoms = " ".join(sorted(wires)) if wires else "A"
-    return f"atoms {atoms}\n\ntheorem {name}:\n" + "\n".join(lines) + "\nqed\n"
+    return f"atoms {atoms}\n\ntheorem t:\n" + "\n".join(lines) + "\nqed\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Optional, Tuple, Union
 DEGREE_TOL = 1e-9
 
 SQRT1_2 = 2.0 ** -0.5  # implicit amplitude of an undegreed conjunct
+EVEN_DEGREES = (complex(SQRT1_2), complex(SQRT1_2))  # the degrees of an undegreed pair
 
 SYMBOLIC_NAMES = ("alpha", "beta")
 
@@ -187,9 +188,7 @@ def _qubit_amplitudes(f: Formula) -> Optional[DegreePair]:
     if isinstance(f, Atom):
         return (complex(1), complex(0)) if f.negated else (complex(0), complex(1))
     if isinstance(f, Qubit):
-        if f.degrees is None:
-            return (complex(SQRT1_2), complex(SQRT1_2))
-        return f.degrees
+        return EVEN_DEGREES if f.degrees is None else f.degrees
     return None
 
 
@@ -250,7 +249,7 @@ def normalize(f: Formula) -> Formula:
         lw, rw = party_wire(left), party_wire(right)
         if lw is not None and lw == rw:
             la, ra = _qubit_amplitudes(left), _qubit_amplitudes(right)
-            dl, dr = degrees if degrees is not None else (complex(SQRT1_2), complex(SQRT1_2))
+            dl, dr = degrees if degrees is not None else EVEN_DEGREES
             parts = (dl, dr) + la + ra
             if all(is_concrete(d) for d in parts):
                 amp0 = complex(dl) * complex(la[0]) + complex(dr) * complex(ra[0])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import pathlib
+import warnings
 
 import pytest
 
@@ -38,6 +39,13 @@ class TestCheck:
     def test_missing_file(self):
         code, _, err = run("check", "no-such-file.qsc")
         assert code == 2 and "cannot read" in err
+
+    def test_a_script_that_is_not_utf8(self, tmp_path):
+        script = tmp_path / "bad.qsc"
+        script.write_bytes(b"\xff\xfe")
+        code, out, err = run("check", str(script))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {script}: ") and err.count("\n") == 1
 
     def test_intuitionistic_mode_accepts_the_corpus(self):
         code, _, _ = run("check", str(CORPUS / "ent.qsc"), "--mode", "intuitionistic")
@@ -109,9 +117,13 @@ class TestVerify:
                           "  5: |- (Q_A # Q_B) &{1, 1e308} (Q_A{1e308, 1} # Q_B)"
                           " by andform(2, 4)\nqed\n")
         assert run("check", str(script))[0] == 0
-        code, out, _ = run("verify", str(script), "--format", "machine")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run("verify", str(script), "--format", "machine")
         assert code == 1 and "verify\tt:4\tparform\tstate\tnan" in out
         assert "max_residual\tnan\nresult\tfail" in out
+        # the NaN residual reports the overflow; numpy adds no warnings
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("steps", [
         "  1: |- Q_A premise\n  2: Q_A |- B^ premise\n",
@@ -143,6 +155,18 @@ class TestRender:
         code, out, _ = run("render", str(CORPUS / "epr.qsc"), "--out", str(target))
         assert code == 0 and out == ""
         assert "epr" in target.read_text()
+
+
+@pytest.mark.parametrize("command", [["check", str(CORPUS / "ent.qsc")],
+                                     ["verify", str(CORPUS / "ent.qsc")],
+                                     ["render", str(CORPUS / "ent.qsc")],
+                                     ["corpus"], ["teleport"]],
+                         ids=["check", "verify", "render", "corpus", "teleport"])
+def test_an_unwritable_out_is_an_input_error(tmp_path, command):
+    target = tmp_path / "no-such-dir" / "report.txt"
+    code, out, err = run(*command, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 class TestCorpus:
