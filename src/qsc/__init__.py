@@ -63,7 +63,7 @@ from .parser import (
     parse_sequent,
     script_labels,
 )
-from .render import render
+from .render import RenderTooLarge, render
 from .corpus import CORPUS, DEFAULT_BINDINGS, run_corpus, run_entry
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Commands: ``check``, ``verify``, ``render``, ``corpus``, ``teleport``.
 Exit codes, fixed for CI use: 0 success, 1 semantic or structural failure,
-2 unreadable or unparseable input or an unwritable ``--out``, 3 phase-order
-error (verify requested on a script that fails the structural check).
+2 unreadable or unparseable input, an unwritable ``--out`` or an ascii
+drawing past ``render.MAX_ASCII_BYTES``, 3 phase-order error (verify
+requested on a script that fails the structural check).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional
 from .corpus import DEFAULT_BINDINGS, run_corpus
 from .kernel import CheckReport, LogicMode, check_derivation
 from .parser import ProofScript, ScriptError, parse_script, script_labels
-from .render import render
+from .render import RenderTooLarge, render
 from .semantics import (
     DEFAULT_TOL,
     NotNormalized,
@@ -169,8 +170,14 @@ def cmd_render(args) -> int:
         return EXIT_INPUT
     lines: List[str] = []
     for theorem in script.theorems:
+        try:
+            drawing = render(theorem.derivation, args.style)
+        except RenderTooLarge as exc:
+            print(f"error: theorem {theorem.name}: ascii drawing of {exc}; "
+                  "use --style linear", file=sys.stderr)
+            return EXIT_INPUT
         lines.append(f"-- theorem {theorem.name}")
-        lines.append(render(theorem.derivation, args.style).rstrip("\n"))
+        lines.append(drawing.rstrip("\n"))
         lines.append("")
     return EXIT_OK if _emit(lines, args.out) else EXIT_INPUT
 

@@ -7,7 +7,8 @@ stacked over horizontal inference bars labeled by rule.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from itertools import accumulate
+from typing import Dict, List, Tuple
 
 from .kernel import Derivation, postorder
 from .syntax import Formula, formula_str, formula_wires, sequent_str
@@ -82,42 +83,92 @@ def render_linear(tree: Derivation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# ASCII style
+# ASCII style.  A node's block is its premises' blocks side by side over a
+# bar labeled by rule, its conclusion centered under the bar.  Until the end
+# a block is three lists, one entry per row: the row's shift (its leading
+# spaces), its length past the shift, and its ``(column, text)`` pieces with
+# columns counted from the shift.  Centering a row changes only its shift.
 
-def _stack(blocks: List[List[str]], gap: int = 4) -> List[str]:
-    height = max(len(b) for b in blocks)
-    widths = [max((len(line) for line in b), default=0) for b in blocks]
-    padded = []
-    for b, w in zip(blocks, widths):
-        rows = [" " * w] * (height - len(b)) + [line.ljust(w) for line in b]
-        padded.append(rows)
-    return [(" " * gap).join(row).rstrip() for row in zip(*padded)]
+MAX_ASCII_BYTES = 16 * 2**20
 
 
-def _center(line: str, width: int) -> str:
-    return " " * ((width - len(line)) // 2) + line
+class RenderTooLarge(Exception):
+    """An ascii drawing past ``MAX_ASCII_BYTES``, refused before any line."""
+
+    def __init__(self, lines: int, columns: int):
+        super().__init__(f"{lines} lines x {columns} columns is past {MAX_ASCII_BYTES} bytes")
+        self.lines, self.columns = lines, columns
 
 
-def _ascii_block(node: Derivation, premise_blocks: List[List[str]]) -> List[str]:
-    """The node's block, drawn under the blocks of its premises."""
-    conclusion = sequent_str(node.conclusion)
-    if not node.premises:
-        return [f"{conclusion}   [{rule_label(node)}]"]
-    above = _stack(premise_blocks)
-    width = max(max(map(len, above)), len(conclusion))
-    bar = "-" * width + f" {rule_label(node)}"
-    return [_center(line, width) for line in above] + [bar, _center(conclusion, width)]
+def _layout(tree: Derivation) -> Tuple[list, Dict[int, Tuple[int, int]]]:
+    """Distinct nodes in post-order with conclusion and label; exact block sizes."""
+    nodes = []
+    size: Dict[int, Tuple[int, int]] = {}
+    for node, _ in postorder(tree):
+        conclusion, label = sequent_str(node.conclusion), rule_label(node)
+        if node.premises:
+            sizes = [size[id(p)] for p in node.premises]
+            stack = sum([w for _, w in sizes]) + 4 * (len(sizes) - 1)
+            size[id(node)] = (max(sizes)[0] + 2, max(stack, len(conclusion)) + 1 + len(label))
+        else:
+            size[id(node)] = (1, len(conclusion) + 5 + len(label))
+        nodes.append((node, conclusion, label))
+    return nodes, size
+
+
+def _stack(blocks: List[tuple], sizes: List[Tuple[int, int]]) -> tuple:
+    """Two or more premise blocks side by side, 4 columns apart, bottom-aligned."""
+    heights = [h for h, _ in sizes]
+    height, tallest = max(heights), heights.index(max(heights))
+    offsets = list(accumulate((w + 4 for _, w in sizes), initial=0))
+    # above the second tallest block, the rows are the tallest one's, moved
+    alone = height - sorted(heights)[-2]
+    shifts, lengths, pieces = blocks[tallest]
+    shifts = [s + offsets[tallest] for s in shifts[:alone]]
+    lengths, pieces = lengths[:alone], pieces[:alone]
+    # below, two or more blocks meet and their pieces join
+    for r in range(alone, height):
+        meet = [(off + b[0][i], b[1][i], b[2][i])
+                for b, h, off in zip(blocks, heights, offsets) if (i := r - height + h) >= 0]
+        base = meet[0][0]
+        shifts.append(base)
+        lengths.append(meet[-1][0] + meet[-1][1] - base)
+        pieces.append([(s - base + col, text) for s, _, row in meet for col, text in row])
+    return shifts, lengths, pieces
 
 
 def render_ascii(tree: Derivation) -> str:
-    # A shared premise is drawn again under each parent.  Its block is kept
-    # only until the last parent that draws it is built.
-    nodes = [node for node, _ in postorder(tree)]
-    last_parent = {id(p): node for node in nodes for p in node.premises}
-    blocks: Dict[int, List[str]] = {}
-    for node in nodes:
-        blocks[id(node)] = _ascii_block(node, [blocks[id(p)] for p in node.premises])
+    """The two-dimensional drawing; ``RenderTooLarge`` past ``MAX_ASCII_BYTES``."""
+    nodes, size = _layout(tree)
+    height, width = size[id(tree)]
+    if height * (width + 1) > MAX_ASCII_BYTES:
+        raise RenderTooLarge(height, width)
+    # a shared premise is drawn under each parent; its block goes after the last
+    last_parent = {id(p): node for node, _, _ in nodes for p in node.premises}
+    blocks: Dict[int, tuple] = {}
+    for node, conclusion, label in nodes:
+        if not node.premises:
+            line = f"{conclusion}   [{label}]"
+            blocks[id(node)] = ([0], [len(line)], [((0, line),)])
+            continue
+        above = [blocks[id(p)] for p in node.premises]
+        shifts, lengths, pieces = (above[0] if len(above) == 1 else
+                                   _stack(above, [size[id(p)] for p in node.premises]))
+        inner = size[id(node)][1] - 1 - len(label)
+        bar = "-" * inner + f" {label}"
+        blocks[id(node)] = ([(inner + s - n) // 2 for s, n in zip(shifts, lengths)]
+                            + [0, (inner - len(conclusion)) // 2],
+                            lengths + [len(bar), len(conclusion)],
+                            pieces + [((0, bar),), ((0, conclusion),)])
         for p in node.premises:
             if last_parent[id(p)] is node:
                 blocks.pop(id(p), None)
-    return "\n".join(line.rstrip() for line in blocks[id(tree)]) + "\n"
+    shifts, _, pieces = blocks[id(tree)]
+    parts: List[str] = []
+    for shift, row in zip(shifts, pieces):
+        at = -shift
+        for col, text in row:
+            parts += (" " * (col - at), text)
+            at = col + len(text)
+        parts.append("\n")
+    return "".join(parts)

@@ -9,7 +9,9 @@ import warnings
 
 import pytest
 
+from conftest import ladder
 from qsc.cli import main
+from qsc.render import MAX_ASCII_BYTES
 from qsc.semantics import MAX_WIRES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -155,6 +157,18 @@ class TestRender:
         code, out, _ = run("render", str(CORPUS / "epr.qsc"), "--out", str(target))
         assert code == 0 and out == ""
         assert "epr" in target.read_text()
+
+    def test_an_ascii_drawing_past_the_bound_is_an_input_error(self, tmp_path):
+        # 43 steps whose shared premises the drawing repeats: about 49 MB
+        script = tmp_path / "ladder.qsc"
+        script.write_text(ladder(14))
+        target = tmp_path / "report.txt"
+        code, out, err = run("render", str(script), "--out", str(target))
+        assert code == 2 and out == "" and not target.exists()
+        assert err == ("error: theorem ladder: ascii drawing of 57 lines x 868317 columns "
+                       f"is past {MAX_ASCII_BYTES} bytes; use --style linear\n")
+        code, out, _ = run("render", str(script), "--style", "linear")
+        assert code == 0 and "43: |- Q_A by parallel[and](41, 42)" in out
 
 
 @pytest.mark.parametrize("command", [["check", str(CORPUS / "ent.qsc")],

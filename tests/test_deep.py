@@ -77,8 +77,10 @@ def _cli(*argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("argv", [["check"], ["verify"], ["render", "--style", "linear"]],
-                         ids=["check", "verify", "render-linear"])
+# the ascii drawing of 1,200 steps is about 10 MB, within render.MAX_ASCII_BYTES
+@pytest.mark.parametrize("argv", [["check"], ["verify"], ["render", "--style", "linear"],
+                                  ["render", "--style", "ascii"]],
+                         ids=["check", "verify", "render-linear", "render-ascii"])
 def test_cli_on_a_deep_chain(tmp_path, argv):
     script = tmp_path / "chain.qsc"
     script.write_text(hadamard_chain(1_200))
