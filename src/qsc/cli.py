@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TextIO
 
 from .corpus import DEFAULT_BINDINGS, run_corpus
 from .kernel import CheckReport, LogicMode, check_derivation
@@ -91,16 +91,21 @@ def _format_soundness(report: SoundnessReport, layout: str) -> List[str]:
     return lines
 
 
+def _write(handle: TextIO, lines: List[str]) -> None:
+    for line in lines:  # one write each, so no line is copied
+        handle.write(line)
+        handle.write("\n")
+
+
 def _emit(lines: List[str], out_path: Optional[str]) -> bool:
-    """Write the report; False after reporting that ``out_path`` cannot be
-    written."""
-    text = "\n".join(lines) + "\n"
+    """Write each line and a newline; False after reporting that
+    ``out_path`` cannot be written."""
     if not out_path:
-        sys.stdout.write(text)
+        _write(sys.stdout, lines)
         return True
     try:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write(handle, lines)
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return False
@@ -176,9 +181,8 @@ def cmd_render(args) -> int:
             print(f"error: theorem {theorem.name}: ascii drawing of {exc}; "
                   "use --style linear", file=sys.stderr)
             return EXIT_INPUT
-        lines.append(f"-- theorem {theorem.name}")
-        lines.append(drawing.rstrip("\n"))
-        lines.append("")
+        # a drawing ends in its one newline, so the next makes a blank line
+        lines += (f"-- theorem {theorem.name}", drawing)
     return EXIT_OK if _emit(lines, args.out) else EXIT_INPUT
 
 

@@ -31,6 +31,7 @@ from .syntax import (
     degree_eq,
     formula_eq,
     formula_str,
+    formula_wires,
     negate,
     normalize,
     party_wire,
@@ -154,6 +155,16 @@ def _splice(items: Tuple, index: int, replacement: Sequence) -> Tuple:
 
 # ---------------------------------------------------------------------------
 # Leaves
+
+def check_premise(node: Derivation) -> Verdict:
+    seen: set = set()
+    for f in node.conclusion.consequent:
+        wires = formula_wires(f)
+        if seen.intersection(wires):
+            return _fail("SchemaMismatch", "a hypothesis asserts each wire once")
+        seen.update(wires)
+    return Verdict.passed("hypothesis")
+
 
 def check_axiom(node: Derivation) -> Verdict:
     c = node.conclusion
@@ -739,7 +750,7 @@ def check_parallel(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
 # premises and the mode.  The structural rules C, W and P of ordinary
 # sequent calculi are intentionally absent.
 _RULE_TABLE = {
-    "premise": (0, 0, lambda n, ps, mode: Verdict.passed("hypothesis")),
+    "premise": (0, 0, lambda n, ps, mode: check_premise(n)),
     "axiom": (0, 0, lambda n, ps, mode: check_axiom(n)),
     "ataxiom": (0, 0, lambda n, ps, mode: check_ataxiom(n)),
     "andform": (2, 2, lambda n, ps, mode: check_andform(ps, n.conclusion)),

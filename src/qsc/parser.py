@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel import RULES, Derivation, Param
 from .syntax import (
@@ -94,39 +94,47 @@ class DuplicateStepId(ScriptError):
 # Lexer
 
 # The first alternative that matches wins; the unnamed ones (blanks and
-# comments) make no token.  Every character is one column wide.
+# comments) make no token, and BAD, last, takes any character no other
+# alternative starts with.  Every character is one column wide.
 _REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(
     r"(?P<NL>\n)|[ \t\r]+|--[^\n]*"
     r"|(?P<PUNCT>\|-|[,:()\[\]{}&#@^])"
     r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)"
     rf"|(?P<NUM>[+-]?{_REAL}(?:[+-]{_REAL}i|i)?)"
-)
+    r"|(?P<BAD>.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token; only a PUNCT carries punctuation text, only an IDENT a
+    keyword, and only EOF the empty text."""
+
     kind: str   # IDENT | NUM | PUNCT | EOF
     text: str
-    span: SourceSpan
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, len(self.text))
 
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ScriptSyntaxError(f"unexpected character {text[pos]!r}",
-                                    SourceSpan(line, pos - line_start + 1, 1))
-        kind, end = m.lastgroup, m.end()
+    append, new = tokens.append, tuple.__new__  # no Python-level call per token
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
         if kind == "NL":
-            line, line_start = line + 1, end
-        elif kind:
-            tokens.append(Token(kind, m.group(), SourceSpan(line, pos - line_start + 1,
-                                                            end - pos)))
-        pos = end
-    tokens.append(Token("EOF", "", SourceSpan(line, len(text) - line_start + 1, 0)))
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD":
+            raise ScriptSyntaxError(f"unexpected character {m[0]!r}",
+                                    SourceSpan(line, m.start() - line_start + 1, 1))
+        else:
+            append(new(Token, (kind, m[0], line, m.start() - line_start + 1)))
+    append(new(Token, ("EOF", "", line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -154,32 +162,21 @@ class _Parser:
         return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
+        tok = self.tokens[self.pos]
+        if tok.text:  # EOF, the only empty text, stays put
             self.pos += 1
         return tok
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+    # A punctuation mark or keyword is known by its text alone (see Token).
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def expect_punct(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.kind != "PUNCT" or tok.text != text:
+        if tok.text != text:
             raise ScriptSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
                                     tok.span)
-        return tok
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise ScriptSyntaxError(f"expected {word!r}, found {tok.text or 'end of input'!r}",
-                                    tok.span)
-        return tok
 
     # -- degrees ------------------------------------------------------------
 
@@ -187,34 +184,32 @@ class _Parser:
         tok = self.next()
         if tok.kind == "NUM":
             return _parse_number(tok)
-        if tok.kind == "IDENT" and tok.text in ("alpha", "beta"):
+        if tok.text in ("alpha", "beta"):
             return SymDegree(tok.text)
         raise ScriptSyntaxError(
             f"expected a degree (number, alpha or beta), found {tok.text!r}", tok.span)
 
     def parse_degree_pair(self) -> Tuple[Degree, Degree]:
-        self.expect_punct("{")
+        self.expect("{")
         first = self.parse_degree()
-        self.expect_punct(",")
+        self.expect(",")
         second = self.parse_degree()
-        self.expect_punct("}")
+        self.expect("}")
         return first, second
 
     # -- formulas -----------------------------------------------------------
 
     def starts_formula(self) -> bool:
         tok = self.peek()
-        if tok.kind == "NUM":
-            return tok.text == "0"
         if tok.kind == "IDENT":
             return tok.text not in KEYWORDS
-        return tok.kind == "PUNCT" and tok.text == "("
+        return tok.text == "0" or tok.text == "("
 
     def parse_formula(self) -> Formula:
         if not self.depth:
             self.start = self.pos
         left = self.parse_and()
-        while self.at_punct("@"):
+        while self.at("@"):
             at = self.next()
             right = self.parse_and()
             for side in (left, right):
@@ -227,16 +222,16 @@ class _Parser:
 
     def parse_and(self) -> Formula:
         left = self.parse_par()
-        while self.at_punct("&"):
+        while self.at("&"):
             self.next()
-            degrees = self.parse_degree_pair() if self.at_punct("{") else None
+            degrees = self.parse_degree_pair() if self.at("{") else None
             right = self.parse_par()
             left = And(left, right, degrees)
         return left
 
     def parse_par(self) -> Formula:
         left = self.parse_primary()
-        while self.at_punct("#"):
+        while self.at("#"):
             self.next()
             right = self.parse_primary()
             left = Par(left, right)
@@ -254,11 +249,11 @@ class _Parser:
                 return NULL
             raise ScriptSyntaxError(f"unexpected number {tok.text!r} in a formula",
                                     tok.span)
-        if tok.kind == "PUNCT" and tok.text == "(":
+        if tok.text == "(":
             self.depth += 1
             inner = self.parse_formula()
             self.depth -= 1
-            self.expect_punct(")")
+            self.expect(")")
             self._reject_caret("a parenthesized formula")
             return inner
         if tok.kind == "IDENT":
@@ -270,15 +265,15 @@ class _Parser:
                 if not name:
                     raise ScriptSyntaxError("missing wire name after 'Q_'", tok.span)
                 self._check_atom(name, tok)
-                degrees = self.parse_degree_pair() if self.at_punct("{") else None
+                degrees = self.parse_degree_pair() if self.at("{") else None
                 self._reject_caret("a qubit proposition")
                 return Qubit(name, degrees)
             self._check_atom(tok.text, tok)
             negated = False
-            if self.at_punct("^"):
+            if self.at("^"):
                 self.next()
                 negated = True
-                if self.at_punct("^"):
+                if self.at("^"):
                     raise ScriptSyntaxError(
                         "double negation collapses; write the atom itself",
                         self.peek().span)
@@ -287,7 +282,7 @@ class _Parser:
                                 tok.span)
 
     def _reject_caret(self, what: str) -> None:
-        if self.at_punct("^"):
+        if self.at("^"):
             raise ScriptSyntaxError(f"negation applies to atoms only, not {what}",
                                     self.peek().span)
 
@@ -299,7 +294,7 @@ class _Parser:
 
     def parse_formula_list(self) -> Tuple[Formula, ...]:
         formulas = [self.parse_formula()]
-        while self.at_punct(","):
+        while self.at(","):
             self.next()
             formulas.append(self.parse_formula())
         return tuple(formulas)
@@ -308,12 +303,12 @@ class _Parser:
         antecedent: Tuple[Formula, ...] = ()
         if self.starts_formula():
             antecedent = self.parse_formula_list()
-        self.expect_punct("|-")
+        self.expect("|-")
         degree = None
-        if self.at_punct("{"):
-            self.expect_punct("{")
+        if self.at("{"):
+            self.expect("{")
             degree = self.parse_degree()
-            self.expect_punct("}")
+            self.expect("}")
         consequent: Tuple[Formula, ...] = ()
         if self.starts_formula():
             consequent = self.parse_formula_list()
@@ -378,9 +373,9 @@ def parse_sequent(text: str, atoms: Optional[Sequence[str]] = None) -> Sequent:
 
 
 def _parse_rule_params(p: _Parser, rule: str) -> Tuple[Param, ...]:
-    if not p.at_punct("["):
+    if not p.at("["):
         return ()
-    p.expect_punct("[")
+    p.expect("[")
     params: List[Param] = []
     if rule == "cut":
         params.append(p.parse_formula())
@@ -391,28 +386,28 @@ def _parse_rule_params(p: _Parser, rule: str) -> Tuple[Param, ...]:
                 raise ScriptSyntaxError(
                     f"expected a rule parameter, found {tok.text!r}", tok.span)
             params.append(tok.text)
-            if not p.at_punct(","):
+            if not p.at(","):
                 break
             p.next()
-    p.expect_punct("]")
+    p.expect("]")
     return tuple(params)
 
 
 def _parse_int(p: _Parser) -> Tuple[int, Token]:
     tok = p.next()
-    if tok.kind != "NUM" or not re.fullmatch(r"\d+", tok.text):
+    if not tok.text.isdecimal():  # only a NUM can be all digits
         raise ScriptSyntaxError(f"expected a step number, found {tok.text!r}", tok.span)
     return int(tok.text), tok
 
 
 def _parse_step(p: _Parser) -> Step:
     step_id, id_tok = _parse_int(p)
-    p.expect_punct(":")
+    p.expect(":")
     sequent = p.parse_sequent()
     tok = p.next()
-    if tok.kind == "IDENT" and tok.text == "premise":
+    if tok.text == "premise":
         return Step(step_id, sequent, "premise", span=id_tok.span)
-    if tok.kind == "IDENT" and tok.text == "by":
+    if tok.text == "by":
         rule_tok = p.next()
         if rule_tok.kind != "IDENT":
             raise ScriptSyntaxError("expected a rule name after 'by'", rule_tok.span)
@@ -422,16 +417,16 @@ def _parse_step(p: _Parser) -> Step:
                 f"no rule named {rule_tok.text!r} exists in this calculus",
                 rule_tok.span)
         params = _parse_rule_params(p, rule)
-        p.expect_punct("(")
+        p.expect("(")
         refs: List[int] = []
-        if not p.at_punct(")"):
+        if not p.at(")"):
             while True:
                 ref, _ = _parse_int(p)
                 refs.append(ref)
-                if not p.at_punct(","):
+                if not p.at(","):
                     break
                 p.next()
-        p.expect_punct(")")
+        p.expect(")")
         return Step(step_id, sequent, rule, tuple(refs), params, id_tok.span)
     raise ScriptSyntaxError(
         f"expected 'premise' or 'by <rule>(...)', found {tok.text or 'end of input'!r}",
@@ -439,15 +434,15 @@ def _parse_step(p: _Parser) -> Step:
 
 
 def _parse_theorem(p: _Parser) -> Theorem:
-    p.expect_keyword("theorem")
+    p.expect("theorem")
     name_tok = p.next()
     if name_tok.kind != "IDENT" or name_tok.text in KEYWORDS:
         raise ScriptSyntaxError("expected a theorem name", name_tok.span)
-    p.expect_punct(":")
+    p.expect(":")
     steps: List[Step] = []
     nodes: Dict[int, Derivation] = {}
     labels: Dict[int, str] = {}
-    while not p.at_keyword("qed"):
+    while not p.at("qed"):
         if p.peek().kind == "EOF":
             raise ScriptSyntaxError("theorem is missing its 'qed'", p.peek().span)
         step = _parse_step(p)
@@ -464,7 +459,7 @@ def _parse_theorem(p: _Parser) -> Theorem:
         nodes[step.step_id] = node
         labels[id(node)] = f"{name_tok.text}:{step.step_id}"
         steps.append(step)
-    p.expect_keyword("qed")
+    p.expect("qed")
     if not steps:
         raise ScriptSyntaxError(f"theorem {name_tok.text!r} has no steps", name_tok.span)
     return Theorem(name_tok.text, steps, nodes[steps[-1].step_id], labels)
@@ -475,12 +470,12 @@ def parse_script(text: str) -> ProofScript:
     tokens = tokenize(text)
     p = _Parser(tokens)
     decl_tok = p.peek()
-    if not p.at_keyword("atoms"):
+    if not p.at("atoms"):
         raise ScriptSyntaxError("a script starts with its 'atoms' declaration",
                                 decl_tok.span)
     p.next()
     atoms: List[str] = []
-    while p.peek().kind == "IDENT" and not p.at_keyword("theorem"):
+    while p.peek().kind == "IDENT" and not p.at("theorem"):
         tok = p.next()
         if tok.text in KEYWORDS:
             raise ScriptSyntaxError(f"{tok.text!r} cannot be an atom name", tok.span)
@@ -496,7 +491,7 @@ def parse_script(text: str) -> ProofScript:
         raise ScriptSyntaxError("at least one atom must be declared", p.peek().span)
     p.atoms = set(atoms)
     theorems: List[Theorem] = []
-    while p.at_keyword("theorem"):
+    while p.at("theorem"):
         theorems.append(_parse_theorem(p))
     tok = p.peek()
     if tok.kind != "EOF":

@@ -97,6 +97,14 @@ class TestVerify:
         assert code == 1 and "check\tt:3\tatform\tfail\tSchemaMismatch" in out
         assert run("verify", str(script))[0] == 3
 
+    def test_a_hypothesis_naming_one_wire_twice_fails_the_check(self, tmp_path):
+        script = tmp_path / "twice.qsc"
+        script.write_text("atoms A\ntheorem t:\n  1: |- A, A^ premise\nqed\n")
+        code, out, _ = run("check", str(script), "--format", "machine")
+        assert code == 1 and out.startswith("check\tt:1\tpremise\tfail\tSchemaMismatch\t")
+        code, out, err = run("verify", str(script))
+        assert code == 3 and out == "" and "structural check" in err
+
     def test_a_state_wider_than_the_cap_is_an_error_entry(self, tmp_path):
         wires = [f"W{i}" for i in range(MAX_WIRES + 1)]
         script = tmp_path / "wide.qsc"

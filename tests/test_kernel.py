@@ -367,6 +367,27 @@ def test_measurement_verdicts(rule, left, right, conclusion, expected):
     v = check_cut(*args, ()) if rule == "cut" else check_epr(*args)
     assert (v.ok, v.code, v.message, v.action) == expected
 
+
+# ---------------------------------------------------------------------------
+# Hypotheses
+
+@pytest.mark.parametrize("consequent, ok", [
+    ("A, A^", False),
+    ("Q_A, A", False),
+    ("Q_A @ Q_B, B", False),
+    ("A & A^, B", True),
+    ("Q_A @ Q_B, C", True),
+    ("A, B^", True),
+])
+def test_a_hypothesis_asserts_each_wire_once(consequent, ok):
+    script = parse_script(f"atoms A B C\ntheorem t:\n  1: |- {consequent} premise\nqed\n")
+    report = check_derivation(script.theorems[0].derivation, BASIC, script_labels(script))
+    (entry,) = report.entries
+    assert entry.path == "t:1" and entry.verdict.ok is ok
+    if not ok:
+        assert (entry.verdict.code, entry.verdict.message) == (
+            "SchemaMismatch", "a hypothesis asserts each wire once")
+
 # ---------------------------------------------------------------------------
 # Parallel joins
 

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import pathlib
+import random
+import re
+from dataclasses import dataclass
+from typing import List
+
 import pytest
 
 import conftest as gen
 from hypothesis import given
+from test_fuzz import MUTANTS, mutant
 
 from qsc.parser import (
     DanglingReference,
     DuplicateStepId,
     ScriptError,
     ScriptSyntaxError,
+    SourceSpan,
     UnknownAtom,
     UnknownRule,
     parse_formula,
@@ -278,3 +286,82 @@ class TestTokenizer:
         else:
             assert [(t.kind, t.text, t.span.line, t.span.column, t.span.length)
                     for t in tokenize(text)] == expected
+
+
+# ---------------------------------------------------------------------------
+# Differential lexing: the tokenizer that built a frozen Token and SourceSpan
+# per token, kept as the reference for the one that builds neither.
+
+_REFERENCE_REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REFERENCE_RE = re.compile(
+    r"(?P<NL>\n)|[ \t\r]+|--[^\n]*"
+    r"|(?P<PUNCT>\|-|[,:()\[\]{}&#@^])"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)"
+    rf"|(?P<NUM>[+-]?{_REFERENCE_REAL}(?:[+-]{_REFERENCE_REAL}i|i)?)"
+)
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str
+    text: str
+    span: SourceSpan
+
+
+def reference_tokenize(text: str) -> List[ReferenceToken]:
+    tokens: List[ReferenceToken] = []
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _REFERENCE_RE.match(text, pos)
+        if m is None:
+            raise ScriptSyntaxError(f"unexpected character {text[pos]!r}",
+                                    SourceSpan(line, pos - line_start + 1, 1))
+        kind, end = m.lastgroup, m.end()
+        if kind == "NL":
+            line, line_start = line + 1, end
+        elif kind:
+            tokens.append(ReferenceToken(kind, m.group(), SourceSpan(
+                line, pos - line_start + 1, end - pos)))
+        pos = end
+    tokens.append(ReferenceToken("EOF", "", SourceSpan(line, len(text) - line_start + 1, 0)))
+    return tokens
+
+
+def lexed(lexer, text: str):
+    """Each token's (kind, text, line, column, length), or the error's
+    type and message."""
+    try:
+        return [(t.kind, t.text, t.span.line, t.span.column, t.span.length)
+                for t in lexer(text)]
+    except ScriptSyntaxError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ROOT = pathlib.Path(__file__).parents[1]
+SCRIPTS = {path.name: path.read_text()
+           for path in sorted([*(ROOT / "src" / "qsc" / "corpus").glob("*.qsc"),
+                               *(ROOT / "tests" / "data").glob("*.qsc")])}
+# "٣" is a decimal digit to \d, "²" is not; "\U0001d538" is outside the BMP
+INSERTED = ["$", "\f", "\v", "\x00", "é", "٣", "²", "\U0001d538"]
+
+
+class TestDifferentialLexing:
+    def test_every_script_and_deep_input(self):
+        texts = [*SCRIPTS.values(), gen.hadamard_chain(1000), gen.ladder(12)]
+        assert len(SCRIPTS) == 17  # 13 corpus files, 4 in tests/data
+        for text in texts:
+            assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+
+    def test_the_fuzz_mutants(self):
+        rng = random.Random(0)
+        for _ in range(MUTANTS):
+            text = mutant(rng)
+            assert lexed(tokenize, text) == lexed(reference_tokenize, text), text
+
+    @pytest.mark.parametrize("char", INSERTED)
+    def test_one_inserted_character(self, char):
+        rng = random.Random(ord(char))
+        for name, text in SCRIPTS.items():
+            i = rng.randrange(len(text) + 1)
+            changed = text[:i] + char + text[i:]
+            assert lexed(tokenize, changed) == lexed(reference_tokenize, changed), (name, i)

@@ -26,3 +26,26 @@ def test_every_wrapped_name_is_a_callable_of_its_module():
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
 
+
+
+def test_the_parsers_reach_tokenize_through_the_module(monkeypatch):
+    # bench/tracing.py times parser.tokenize by rebinding the module
+    # attribute; a parser that lexes by any other path zeroes that span
+    parser = importlib.import_module("qsc.parser")
+    original, counts = parser.tokenize, []
+
+    def counting(text):
+        tokens = original(text)
+        counts.append(len(tokens))
+        return tokens
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    calls = [
+        (parser.parse_script, "atoms A\ntheorem t:\n  1: |- A premise\nqed\n", 12),
+        (parser.parse_sequent, "Q_A |- A", 4),
+        (parser.parse_formula, "A & A^", 5),
+    ]
+    for parse, text, tokens in calls:
+        counts.clear()
+        parse(text)
+        assert counts == [tokens], parse.__name__
