@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,13 +119,21 @@ class QState:
         return self.amps
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return _norm(self.amps)
+
+
+def _norm(amps: np.ndarray) -> float:
+    """The 2-norm by the formula ``np.linalg.norm`` uses, sqrt(re.re + im.im)."""
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _unit(amps: np.ndarray) -> Optional[np.ndarray]:
     """``amps`` scaled to norm 1, None for the zero state."""
-    n = np.linalg.norm(amps)
-    return None if n < ZERO_NORM else amps / n
+    n = _norm(amps)
+    # numpy divides a complex by a real through its reciprocal, so this
+    # equals ``amps / n`` (a zero may change sign) without the division loop
+    return None if n < ZERO_NORM else amps * (1.0 / n)
 
 
 def basis_state(wires: Sequence[str], bits: Sequence[int]) -> QState:
@@ -137,13 +145,29 @@ def basis_state(wires: Sequence[str], bits: Sequence[int]) -> QState:
     return QState(tuple(wires), amps)
 
 
+def _product(factors: Iterable[QState]) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """Wires and amplitudes of the tensor product, folded left to right.
+
+    Each factor is tested for wires it shares with the ones before it, then
+    against the cap, before its product is built, so no array wider than
+    ``2**MAX_WIRES`` is made.
+    """
+    factors = iter(factors)
+    first = next(factors)
+    wires, amps = first.wires, first.amps
+    for f in factors:
+        shared = set(wires) & set(f.wires)
+        if shared:
+            raise WireMismatch(f"overlapping wires {shared}")
+        wires += f.wires
+        if len(wires) > MAX_WIRES:
+            raise WireMismatch(f"{len(wires)} wires exceed the cap of {MAX_WIRES}")
+        amps = np.multiply.outer(amps, f.amps).ravel()
+    return wires, amps
+
+
 def tensor(a: QState, b: QState) -> QState:
-    if set(a.wires) & set(b.wires):
-        raise WireMismatch(f"overlapping wires {set(a.wires) & set(b.wires)}")
-    n = len(a.wires) + len(b.wires)
-    if n > MAX_WIRES:
-        raise WireMismatch(f"{n} wires exceed the cap of {MAX_WIRES}")
-    return QState(a.wires + b.wires, np.outer(a.amps, b.amps).ravel())
+    return QState(*_product((a, b)))
 
 
 def align(state: QState, wires: Sequence[str]) -> QState:
@@ -167,7 +191,7 @@ def residual(predicted: QState, actual: QState) -> float:
     overlap = np.vdot(vb, vp)
     if abs(overlap) > ZERO_NORM:
         vb = vb * (overlap / abs(overlap))
-    return float(np.linalg.norm(vp - vb))
+    return _norm(vp - vb)
 
 
 def fidelity(a: QState, b: QState) -> float:
@@ -222,11 +246,10 @@ def apply(matrix: np.ndarray, wires: Sequence[str], state: QState) -> QState:
         raise WireMismatch(f"state has no wire(s) {sorted(missing)}")
     n = len(state.wires)
     axes = [state.wires.index(w) for w in wires]
-    t = state.amps.reshape([2] * n)
-    m = matrix.reshape([2] * (2 * k))
-    t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), axes))
-    # tensordot moved the operator wires to the front; put them back
-    t = np.moveaxis(t, list(range(k)), axes)
+    # the named wires to the front, the matrix on them, and back again
+    order = axes + [i for i in range(n) if i not in axes]
+    t = matrix @ state.amps.reshape([2] * n).transpose(order).reshape(2 ** k, -1)
+    t = t.reshape([2] * n).transpose(np.argsort(order))
     return QState(state.wires, t.reshape(-1))
 
 
@@ -300,13 +323,10 @@ def denote_assertion(s: Sequent, bindings: Optional[Dict[str, complex]] = None) 
         raise NonDenotableSequent(
             "the empty consequent is the falsehood reading, not a state")
     check_bindings(bindings)
-    state = denote_formula(s.consequent[0], bindings)
-    for f in s.consequent[1:]:
-        state = tensor(state, denote_formula(f, bindings))
+    wires, amps = _product(denote_formula(f, bindings) for f in s.consequent)
     if s.degree is not None:
-        d = resolve_degree(s.degree, bindings)
-        state = QState(state.wires, d * state.amps)
-    return state
+        amps = resolve_degree(s.degree, bindings) * amps
+    return QState(wires, amps)
 
 
 # ---------------------------------------------------------------------------

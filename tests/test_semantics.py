@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,16 @@ from qsc.semantics import (
     H_MATRIX,
     M0_MATRIX,
     M1_MATRIX,
+    MAX_WIRES,
+    ZERO_NORM,
     NonDenotableSequent,
     NotNormalized,
     QState,
     UnboundSymbolicDegree,
     WireMismatch,
     ZeroState,
+    _unit,
+    align,
     apply,
     combine_parallel,
     denote_assertion,
@@ -29,7 +35,7 @@ from qsc.semantics import (
     tensor,
     verify_soundness,
 )
-from qsc.syntax import SQRT1_2
+from qsc.syntax import SQRT1_2, Atom, Ent, Qubit, Sequent
 
 S = SQRT1_2
 BINDINGS = {"alpha": 0.6 + 0j, "beta": 0.8 + 0j}
@@ -304,3 +310,191 @@ class TestTeleportOracle:
     def test_normalization_enforced(self):
         with pytest.raises(NotNormalized):
             teleport_oracle(1, 1)
+
+
+# ---------------------------------------------------------------------------
+# The replay primitives as they were before ``apply`` became one 2-D matmul
+# and products one ``multiply.outer`` fold, kept verbatim: every amplitude
+# and residual must keep its bits.
+
+def reference_unit(amps):
+    n = np.linalg.norm(amps)
+    return None if n < ZERO_NORM else amps / n
+
+
+def reference_apply(matrix, wires, state):
+    k = len(wires)
+    n = len(state.wires)
+    axes = [state.wires.index(w) for w in wires]
+    t = state.amps.reshape([2] * n)
+    m = matrix.reshape([2] * (2 * k))
+    t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), axes))
+    # tensordot moved the operator wires to the front; put them back
+    t = np.moveaxis(t, list(range(k)), axes)
+    return QState(state.wires, t.reshape(-1))
+
+
+def reference_tensor(a, b):
+    if set(a.wires) & set(b.wires):
+        raise WireMismatch(f"overlapping wires {set(a.wires) & set(b.wires)}")
+    n = len(a.wires) + len(b.wires)
+    if n > MAX_WIRES:
+        raise WireMismatch(f"{n} wires exceed the cap of {MAX_WIRES}")
+    return QState(a.wires + b.wires, np.outer(a.amps, b.amps).ravel())
+
+
+def reference_residual(predicted, actual):
+    vp, vb = reference_unit(predicted.amps), reference_unit(align(actual, predicted.wires).amps)
+    if vp is None or vb is None:
+        return 0.0 if vp is None and vb is None else 1.0
+    overlap = np.vdot(vb, vp)
+    if abs(overlap) > ZERO_NORM:
+        vb = vb * (overlap / abs(overlap))
+    return float(np.linalg.norm(vp - vb))
+
+
+WIRES = tuple(f"W{k}" for k in range(12))
+
+
+def bitwise_states():
+    """Seeded random states on 1-12 wires, the zero state, and states
+    holding inf, nan and 1e308."""
+    rng = np.random.default_rng(2018)
+    for n in range(1, 13):
+        for _ in range(2):
+            v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            yield QState(WIRES[:n], v / np.linalg.norm(v))
+    for n in (1, 3):
+        yield QState(WIRES[:n], np.zeros(2 ** n, dtype=complex))
+    for value in (np.inf, -np.inf, np.nan, 1e308, complex(1e308, -1e308),
+                  complex(0, np.inf), complex(np.nan, 1)):
+        for n in (1, 3):
+            v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            v[rng.integers(2 ** n)] = value
+            yield QState(WIRES[:n], v)
+
+
+def same_amps(a, b):
+    return a.wires == b.wires and np.array_equal(a.amps, b.amps, equal_nan=True)
+
+
+def same_residual(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.fixture
+def quiet_numpy():
+    with np.errstate(all="ignore"):
+        yield
+
+
+def operations(s):
+    """H, M0 and M1 on every wire and CNOT on every ordered wire pair."""
+    for w in s.wires:
+        for matrix in (H_MATRIX, M0_MATRIX, M1_MATRIX):
+            yield matrix, (w,)
+    for c in s.wires:
+        for t in s.wires:
+            if c != t:
+                yield CNOT_MATRIX, (c, t)
+
+
+@pytest.mark.usefixtures("quiet_numpy")
+class TestBitwiseAgainstTheReference:
+    def test_apply(self):
+        cases = 0
+        for s in bitwise_states():
+            for matrix, wires in operations(s):
+                assert same_amps(apply(matrix, wires, s),
+                                 reference_apply(matrix, wires, s)), (s.wires, wires)
+                cases += 1
+        assert cases > 1000
+
+    def test_unit(self):
+        for s in bitwise_states():
+            for amps in (s.amps, apply(M1_MATRIX, s.wires[-1:], s).amps):
+                got, want = _unit(amps), reference_unit(amps)
+                assert (got is None) == (want is None)
+                assert got is None or np.array_equal(got, want, equal_nan=True), amps
+
+    def test_residual(self):
+        for s in bitwise_states():
+            reversed_wires = QState(s.wires[::-1], align(s, s.wires[::-1]).amps)
+            for matrix, wires in operations(s):
+                out = apply(matrix, wires, s)
+                for actual in (s, reversed_wires):
+                    assert same_residual(residual(out, actual),
+                                         reference_residual(out, actual)), (s.wires, wires)
+
+    def test_residual_near_zero(self):
+        # the regime a passing replay lives in: a state against itself and
+        # against itself after a global phase and a last-bit nudge
+        for s in bitwise_states():
+            nudged = QState(s.wires, s.amps * np.exp(0.3j) * (1 + 2 ** -52))
+            for actual in (s, nudged):
+                assert same_residual(residual(s, actual), reference_residual(s, actual))
+
+    def test_tensor(self):
+        states = list(bitwise_states())
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            a, b = (states[i] for i in rng.integers(len(states), size=2))
+            if len(a.wires) + len(b.wires) > 12:
+                continue
+            b = QState(WIRES[len(a.wires):len(a.wires) + len(b.wires)], b.amps)
+            assert same_amps(tensor(a, b), reference_tensor(a, b))
+
+    def test_denote_assertion(self):
+        # the fold over consequents gives the bits of the pairwise tensors
+        for n in range(1, 13):
+            consequent = tuple(Qubit(w, (0.6 + 0.1j, -0.8j)) if k % 3 else Atom(w, k % 2 == 0)
+                               for k, w in enumerate(WIRES[:n]))
+            for degree in (None, 0.5j):
+                sequent = Sequent((), consequent, degree)
+                want = denote_assertion(Sequent((), consequent[:1]))
+                for f in consequent[1:]:
+                    want = reference_tensor(want, denote_assertion(Sequent((), (f,))))
+                if degree is not None:
+                    want = QState(want.wires, degree * want.amps)
+                assert same_amps(denote_assertion(sequent), want), n
+
+
+class TestProductErrors:
+    """The fold tests each factor for wires it shares with the ones before
+    it, then the cap, as the pairwise tensors did, and builds nothing past
+    the cap."""
+
+    @staticmethod
+    def reference_error(consequent):
+        try:
+            state = denote_assertion(Sequent((), consequent[:1]))
+            for f in consequent[1:]:
+                state = reference_tensor(state, denote_assertion(Sequent((), (f,))))
+        except WireMismatch as exc:
+            return str(exc)
+        raise AssertionError("the reference fold raised nothing")
+
+    @pytest.mark.parametrize("consequent", [
+        (Qubit("A"), Qubit("B"), Qubit("A")),
+        (Ent(Qubit("A"), Qubit("B")), Ent(Qubit("B"), Qubit("A"))),
+        (Qubit("A"), Ent(Qubit("B"), Qubit("C")), Ent(Qubit("C"), Qubit("A"))),
+        tuple(Qubit(f"X{k}") for k in range(16)) + (Qubit("X0"),),
+    ], ids=["one-wire", "both-wires", "two-factors-back", "overlap-at-the-cap"])
+    def test_overlapping_wires(self, consequent):
+        with pytest.raises(WireMismatch, match="overlapping wires") as exc:
+            denote_assertion(Sequent((), consequent))
+        assert str(exc.value) == self.reference_error(consequent)
+
+    def test_the_cap_counts_the_first_wire_past_it(self):
+        consequent = tuple(Qubit(f"X{k}") for k in range(40))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireMismatch) as exc:
+                denote_assertion(Sequent((), consequent))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"17 wires exceed the cap of {MAX_WIRES}"
+        assert str(exc.value) == self.reference_error(consequent)
+        # the widest array built holds 2**16 amplitudes of 16 bytes
+        assert peak < 2 ** (MAX_WIRES + 1) * 16

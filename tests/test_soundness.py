@@ -7,6 +7,7 @@ calculus's soundness, made executable), and no tree, checked or not, makes
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -14,9 +15,10 @@ import pytest
 
 import conftest as gen
 from qsc.corpus import CORPUS, load_entry
-from qsc.kernel import LogicMode, check_derivation
+from qsc.kernel import RULES, Derivation, LogicMode, check_derivation, postorder
 from qsc.parser import script_labels
 from qsc.semantics import verify_soundness
+from qsc.syntax import And, Atom, Ent, Par, Qubit
 
 RULES_COVERED = {"premise", "hrule", "hinverse", "cnot", "qsplit", "parallel",
                  "atform", "atimplrefl", "cut", "epr", "semidistrib", "parform"}
@@ -87,3 +89,68 @@ def test_teleportation_verifies_for_every_input_qubit():
         report = verify_soundness(tree, bindings={"alpha": alpha, "beta": beta},
                                   labels=labels)
         assert report.ok and report.max_residual <= 1e-9, (alpha, beta, report.entries)
+
+
+# ---------------------------------------------------------------------------
+# Near misses: one node of a valid derivation changed, with its premises
+# kept.  Whatever the kernel accepts of these must still verify.
+
+PARAM_WORDS = ("pos", "neg", "phi", "psi", "and", "at", "a", "b", "a'", "b'",
+               "0", "1", "2") + gen.ATOM_NAMES
+
+
+def formula_mutants(f):
+    """``f`` with one polarity flipped, one wire renamed or one degree dropped."""
+    if isinstance(f, Atom):
+        yield Atom(f.name, not f.negated)
+        yield from (Atom(w, f.negated) for w in gen.ATOM_NAMES if w != f.name)
+    elif isinstance(f, Qubit):
+        yield from (Qubit(w, f.degrees) for w in gen.ATOM_NAMES if w != f.name)
+        if f.degrees is not None:
+            yield Qubit(f.name)
+    elif isinstance(f, (And, Par, Ent)):
+        if isinstance(f, And) and f.degrees is not None:
+            yield And(f.left, f.right)
+        yield from (dataclasses.replace(f, left=g) for g in formula_mutants(f.left))
+        yield from (dataclasses.replace(f, right=g) for g in formula_mutants(f.right))
+
+
+def node_mutants(node):
+    """Near misses of one node, by what they change."""
+    conclusion = node.conclusion
+    for i, f in enumerate(conclusion.consequent):
+        for g in formula_mutants(f):
+            consequent = conclusion.consequent[:i] + (g,) + conclusion.consequent[i + 1:]
+            yield "conclusion", dataclasses.replace(
+                node, conclusion=dataclasses.replace(conclusion, consequent=consequent))
+    if conclusion.degree is not None:
+        yield "conclusion", dataclasses.replace(
+            node, conclusion=dataclasses.replace(conclusion, degree=None))
+    for i, param in enumerate(node.params):
+        others = ((w for w in PARAM_WORDS if w != param) if isinstance(param, str)
+                  else formula_mutants(param))
+        for other in others:
+            yield "parameter", dataclasses.replace(
+                node, params=node.params[:i] + (other,) + node.params[i + 1:])
+    if node.params:
+        yield "parameter", dataclasses.replace(node, params=())
+    for rule in sorted(RULES - {node.rule}):
+        yield "rule", Derivation(rule, conclusion, node.premises, node.params)
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_near_misses_of_valid_derivations_verify_when_they_check(block):
+    accepted = dict.fromkeys(("conclusion", "parameter", "rule"), 0)
+    for seed in range(block * 100, block * 100 + 100):
+        tree = gen.valid_tree(random.Random(seed))
+        for node, _ in postorder(tree):
+            if not node.premises:
+                continue
+            for kind, mutant in node_mutants(node):
+                checked = check_derivation(mutant, LogicMode.BASIC)
+                verified = verify_soundness(mutant, LogicMode.BASIC)
+                if checked.ok:
+                    accepted[kind] += 1
+                    assert verified.ok and verified.max_residual <= 1e-9, (
+                        seed, kind, mutant.rule, mutant.conclusion, verified.entries)
+    assert all(accepted.values()), accepted

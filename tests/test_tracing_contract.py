@@ -11,6 +11,10 @@ import importlib
 import importlib.util
 import pathlib
 
+from qsc.corpus import CORPUS, load_entry
+from qsc.kernel import check_derivation
+from qsc.parser import script_labels
+
 TRACING = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
 
 
@@ -49,3 +53,42 @@ def test_the_parsers_reach_tokenize_through_the_module(monkeypatch):
         counts.clear()
         parse(text)
         assert counts == [tokens], parse.__name__
+
+
+def replay_counts(monkeypatch, tree, labels):
+    # bench/tracing.py times semantics.denote, .apply and .residual by
+    # rebinding these module attributes; a replay that inlines one of them
+    # zeroes its span
+    semantics = importlib.import_module("qsc.semantics")
+    counts = dict.fromkeys(("denote_assertion", "apply", "residual"), 0)
+    for name in counts:
+        def counting(*args, _original=getattr(semantics, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(semantics, name, counting)
+    report = semantics.verify_soundness(tree, bindings={"alpha": 0.6, "beta": 0.8},
+                                        labels=labels)
+    monkeypatch.undo()
+    return counts, report
+
+
+def test_the_replay_reaches_its_primitives_through_the_module(monkeypatch):
+    applied = 0
+    for entry in CORPUS:
+        script = load_entry(entry)
+        for theorem in script.theorems:
+            counts, report = replay_counts(monkeypatch, theorem.derivation,
+                                           script_labels(script))
+            actions = [e.verdict.action for e in check_derivation(theorem.derivation).entries]
+            # one denotation per node, one apply per gate and per projected
+            # wire, one residual per state entry
+            assert counts == {
+                "denote_assertion": len(actions),
+                "apply": sum(1 if a[0] == "gate" else len(a[1])
+                             for a in actions if a[:1] in (("gate",), ("project",))),
+                "residual": sum(e.kind == "state" for e in report.entries),
+            }, entry.name
+            applied += counts["apply"]
+            if entry.name == "tel":
+                assert counts == {"denote_assertion": 8, "apply": 4, "residual": 5}
+    assert applied > 4
