@@ -82,19 +82,22 @@ def hadamard_chain(steps: int) -> str:
     return "\n".join(lines + ["qed", ""])
 
 
-def ladder(rungs: int) -> str:
-    """Script of one theorem: Q_A, then ``rungs`` times both qsplit branches
-    of the last Q_A joined by parallel[and] back into Q_A.
+def ladder(rungs: int, wires: int = 1) -> str:
+    """Script of one theorem: Q_A beside ``wires - 1`` more qubits, then
+    ``rungs`` times both qsplit branches of the last Q_A joined by
+    parallel[and] back into Q_A.
 
     Each rung's two branches share its premise, so the ascii drawing, which
     draws a shared premise under each parent, doubles with every rung.
     """
-    lines = ["atoms A", "theorem ladder:", "  1: |- Q_A premise"]
+    names = [chr(ord("A") + k) for k in range(wires)]
+    rest = "".join(f", Q_{w}" for w in names[1:])
+    lines = [f"atoms {' '.join(names)}", "theorem ladder:", f"  1: |- Q_A{rest} premise"]
     top = 1
     for _ in range(rungs):
-        lines += [f"  {top + 1}: |- A by qsplit[pos, A]({top})",
-                  f"  {top + 2}: |- A^ by qsplit[neg, A]({top})",
-                  f"  {top + 3}: |- Q_A by parallel[and]({top + 1}, {top + 2})"]
+        lines += [f"  {top + 1}: |- A{rest} by qsplit[pos, A]({top})",
+                  f"  {top + 2}: |- A^{rest} by qsplit[neg, A]({top})",
+                  f"  {top + 3}: |- Q_A{rest} by parallel[and]({top + 1}, {top + 2})"]
         top += 3
     return "\n".join(lines + ["qed", ""])
 

@@ -1,9 +1,10 @@
 """Byte-for-byte golden outputs, path agreement and the replay's garbage.
 
 The golden files under ``data/golden`` pin the machine reports, both render
-layouts and the corpus table for the bundled corpus, and the tree paths the
-checker gives unlabelled trees.  Regenerate them only for an intended
-change of output, with ``python tests/test_golden.py``.
+layouts and the corpus table for the bundled corpus, the tree paths the
+checker gives unlabelled trees, and the root verdict, action included, of
+each near miss of a generated valid derivation.  Regenerate them only for
+an intended change of output, with ``python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import pytest
 
 import conftest as gen
 from qsc.corpus import CORPUS, DEFAULT_BINDINGS, load_entry
-from qsc.kernel import LogicMode, check_derivation
+from qsc.kernel import LogicMode, check_derivation, postorder
 from qsc.parser import script_labels
 from qsc.semantics import QState, verify_soundness
 from test_cli import CORPUS as CORPUS_DIR, run
+from test_soundness import node_mutants
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 COMMANDS = {
@@ -29,6 +31,7 @@ COMMANDS = {
     "linear": ("render", "--style", "linear"),
 }
 RANDOM_SEEDS = range(50)
+NEAR_MISS_SEEDS = range(10)
 
 
 def random_tree_paths() -> str:
@@ -40,8 +43,18 @@ def random_tree_paths() -> str:
     return "\n".join(lines) + "\n"
 
 
+def near_miss_verdicts() -> str:
+    lines = []
+    for seed in NEAR_MISS_SEEDS:
+        for node, _ in postorder(gen.valid_tree(random.Random(seed))):
+            for kind, mutant in node_mutants(node) if node.premises else ():
+                v = check_derivation(mutant, LogicMode.BASIC).entries[-1].verdict
+                lines.append(f"{seed}\t{kind}\t{mutant.rule}\t{v.code}\t{v.message}\t{v.action!r}")
+    return "\n".join(lines) + "\n"
+
+
 CASES = ([f"{e.name}.{kind}" for e in CORPUS for kind in COMMANDS]
-         + ["corpus.machine", "random-tree-paths"])
+         + ["corpus.machine", "random-tree-paths", "near-miss-verdicts"])
 
 
 def golden_output(case: str):
@@ -50,6 +63,8 @@ def golden_output(case: str):
         return run("corpus", "--format", "machine")[:2]
     if case == "random-tree-paths":
         return 0, random_tree_paths()
+    if case == "near-miss-verdicts":
+        return 0, near_miss_verdicts()
     name, kind = case.rsplit(".", 1)
     return run(*COMMANDS[kind], str(CORPUS_DIR / f"{name}.qsc"))[:2]
 

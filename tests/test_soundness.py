@@ -99,18 +99,31 @@ PARAM_WORDS = ("pos", "neg", "phi", "psi", "and", "at", "a", "b", "a'", "b'",
                "0", "1", "2") + gen.ATOM_NAMES
 
 
+def degree_mutants(degrees):
+    """A degree pair swapped, negated and multiplied by i."""
+    a, b = degrees
+    yield from ((b, a), (-a, -b), (1j * a, 1j * b))
+
+
 def formula_mutants(f):
-    """``f`` with one polarity flipped, one wire renamed or one degree dropped."""
+    """``f`` with one polarity flipped, one wire renamed, one degree pair
+    dropped or changed, an atom and a qubit swapped, or an & or @ made #."""
     if isinstance(f, Atom):
         yield Atom(f.name, not f.negated)
         yield from (Atom(w, f.negated) for w in gen.ATOM_NAMES if w != f.name)
+        yield Qubit(f.name)
     elif isinstance(f, Qubit):
         yield from (Qubit(w, f.degrees) for w in gen.ATOM_NAMES if w != f.name)
+        yield from (Atom(f.name, negated) for negated in (False, True))
         if f.degrees is not None:
             yield Qubit(f.name)
+            yield from (Qubit(f.name, d) for d in degree_mutants(f.degrees))
     elif isinstance(f, (And, Par, Ent)):
         if isinstance(f, And) and f.degrees is not None:
             yield And(f.left, f.right)
+            yield from (And(f.left, f.right, d) for d in degree_mutants(f.degrees))
+        if not isinstance(f, Par):
+            yield Par(f.left, f.right)
         yield from (dataclasses.replace(f, left=g) for g in formula_mutants(f.left))
         yield from (dataclasses.replace(f, right=g) for g in formula_mutants(f.right))
 
@@ -118,11 +131,12 @@ def formula_mutants(f):
 def node_mutants(node):
     """Near misses of one node, by what they change."""
     conclusion = node.conclusion
-    for i, f in enumerate(conclusion.consequent):
-        for g in formula_mutants(f):
-            consequent = conclusion.consequent[:i] + (g,) + conclusion.consequent[i + 1:]
-            yield "conclusion", dataclasses.replace(
-                node, conclusion=dataclasses.replace(conclusion, consequent=consequent))
+    c = conclusion.consequent
+    consequents = [c[:i] + (g,) + c[i + 1:] for i, f in enumerate(c) for g in formula_mutants(f)]
+    consequents += [c[:i] + (c[i + 1], c[i]) + c[i + 2:] for i in range(len(c) - 1)]
+    for consequent in consequents:
+        yield "conclusion", dataclasses.replace(
+            node, conclusion=dataclasses.replace(conclusion, consequent=consequent))
     if conclusion.degree is not None:
         yield "conclusion", dataclasses.replace(
             node, conclusion=dataclasses.replace(conclusion, degree=None))
