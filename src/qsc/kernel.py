@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .syntax import (
     EVEN_DEGREES,
@@ -28,7 +28,7 @@ from .syntax import (
     Par,
     Qubit,
     Sequent,
-    degree_eq,
+    degree_pair_eq,
     formula_eq,
     formula_str,
     formula_wires,
@@ -95,14 +95,6 @@ class Verdict:
     message: str = ""
     action: tuple = ()
 
-    @staticmethod
-    def passed(message: str = "", action: tuple = ()) -> "Verdict":
-        return Verdict(True, "ok", message, action)
-
-    @staticmethod
-    def failed(code: str, message: str) -> "Verdict":
-        return Verdict(False, code, message)
-
 
 @dataclass
 class NodeEntry:
@@ -121,18 +113,22 @@ class CheckReport:
 
 
 def _fail(code: str, message: str) -> Verdict:
-    return Verdict.failed(code, message)
+    return Verdict(False, code, message)
 
 
 _KEEP, _JOIN = ("keep",), ("join",)
 
 
-def _conclusion_check(stated: Sequent, expected: Sequent,
-                      code: str = "ConclusionMismatch", action: tuple = ()) -> Verdict:
-    if sequent_equivalent(stated, expected):
-        return Verdict.passed(action=action)
-    return _fail(code, f"stated '{sequent_str(stated)}' does not match "
-                       f"schema conclusion '{sequent_str(expected)}'")
+def _conclusion_check(stated: Sequent, *expected: Sequent, code: str = "ConclusionMismatch",
+                      action: tuple = (), message: str = "") -> Verdict:
+    """Pass with ``action`` when ``stated`` matches any of the ``expected``
+    candidates.  A failure carries ``message`` if one is given, else it
+    names the first candidate."""
+    for candidate in expected:
+        if sequent_equivalent(stated, candidate):
+            return Verdict(True, action=action)
+    return _fail(code, message or f"stated '{sequent_str(stated)}' does not match "
+                                  f"schema conclusion '{sequent_str(expected[0])}'")
 
 
 def _contexts_match(a: Sequence[Formula], b: Sequence[Formula]) -> bool:
@@ -163,7 +159,7 @@ def check_premise(node: Derivation) -> Verdict:
         if seen.intersection(wires):
             return _fail("SchemaMismatch", "a hypothesis asserts each wire once")
         seen.update(wires)
-    return Verdict.passed("hypothesis")
+    return Verdict(True, message="hypothesis")
 
 
 def check_axiom(node: Derivation) -> Verdict:
@@ -172,7 +168,7 @@ def check_axiom(node: Derivation) -> Verdict:
             and isinstance(c.antecedent[0], Atom)
             and formula_eq(c.antecedent[0], c.consequent[0])
             and c.degree is None):
-        return Verdict.passed()
+        return Verdict(True)
     return _fail("SchemaMismatch", "axiom must have the shape 'X |- X' with X atomic")
 
 
@@ -189,7 +185,7 @@ def check_ataxiom(node: Derivation) -> Verdict:
     wires = {party_wire(ent.left), party_wire(ent.right)}
     if {x.name, y.name} != wires:
         return _fail("SchemaMismatch", "@-axiom literals must name the entangled wires")
-    return Verdict.passed()
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +206,10 @@ def check_andform(premises: Tuple[Sequent, Sequent], conclusion: Sequent) -> Ver
     if len(diffs) > 1:
         return _fail("ContextMismatch",
                      "premises may differ in exactly one consequent position")
-    candidates = diffs if diffs else list(range(n))
-    for i in candidates:
-        joined = And(p1.consequent[i], p2.consequent[i], degrees)
-        expected = Sequent(p1.antecedent, _splice(p1.consequent, i, (joined,)))
-        if sequent_equivalent(conclusion, expected):
-            return Verdict.passed(action=_JOIN)
-    joined = And(p1.consequent[candidates[0]], p2.consequent[candidates[0]], degrees)
-    expected = Sequent(p1.antecedent, _splice(p1.consequent, candidates[0], (joined,)))
-    return _conclusion_check(conclusion, expected, action=_JOIN)
+    c1, c2 = p1.consequent, p2.consequent
+    return _conclusion_check(conclusion, *(
+        Sequent(p1.antecedent, _splice(c1, i, (And(c1[i], c2[i], degrees),)))
+        for i in diffs or range(n)), action=_JOIN)
 
 
 def check_andrefl(premise: Sequent, conclusion: Sequent, mode: LogicMode) -> Verdict:
@@ -243,7 +234,7 @@ def check_andrefl(premise: Sequent, conclusion: Sequent, mode: LogicMode) -> Ver
     expected_formula = And(Atom(active.name), Atom(active.name, negated=True))
     expected = Sequent(_splice(premise.antecedent, i, (expected_formula,)),
                        premise.consequent)
-    return _conclusion_check(conclusion, expected, "SchemaMismatch")
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +254,12 @@ def check_parform(premise: Sequent, conclusion: Sequent,
             return _fail("SchemaMismatch", f"par position {i} out of range")
         positions = [i]
     else:
-        positions = list(range(n - 1))
-    for i in positions:
-        joined = Par(premise.consequent[i], premise.consequent[i + 1])
-        expected = Sequent(premise.antecedent,
-                           premise.consequent[:i] + (joined,) + premise.consequent[i + 2:],
-                           premise.degree)
-        if sequent_equivalent(conclusion, expected):
-            return Verdict.passed(action=_KEEP)
-    return _fail("ConclusionMismatch",
-                 "conclusion does not join two adjacent consequent formulas with #")
+        positions = range(n - 1)
+    c = premise.consequent
+    return _conclusion_check(conclusion, *(
+        Sequent(premise.antecedent, c[:i] + (Par(c[i], c[i + 1]),) + c[i + 2:], premise.degree)
+        for i in positions), action=_KEEP,
+        message="conclusion does not join two adjacent consequent formulas with #")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +294,7 @@ def check_negform(premise: Sequent, conclusion: Sequent,
     if moved is None:
         return _fail("SchemaMismatch", "only atoms can cross the turnstile")
     expected = Sequent((), moved + premise.consequent)
-    return _conclusion_check(conclusion, expected, "SchemaMismatch")
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch")
 
 
 def check_negrefl(premise: Sequent, conclusion: Sequent,
@@ -321,7 +308,7 @@ def check_negrefl(premise: Sequent, conclusion: Sequent,
     if moved is None:
         return _fail("SchemaMismatch", "only atoms can cross the turnstile")
     expected = Sequent(moved, ())
-    return _conclusion_check(conclusion, expected, "SchemaMismatch")
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +334,9 @@ def _measured(right: Sequent) -> Optional[Tuple[Tuple[Qubit, ...], Atom]]:
     return qubits, outcome
 
 
-def _measurement(right: Sequent) -> tuple:
-    """The projection the right premise of a cut or EPR step denotes, or
+def _measurement(measured: Optional[Tuple[Tuple[Qubit, ...], Atom]]) -> tuple:
+    """The projection a right premise read by ``_measured`` denotes, or
     ``()`` unless it measures undegreed qubits."""
-    measured = _measured(right)
     if measured is None or any(q.degrees is not None for q in measured[0]):
         return ()
     qubits, outcome = measured
@@ -399,13 +385,13 @@ def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
     cut_formula = next((p for p in reversed(params) if isinstance(p, Formula)), None)
 
     # Collapse and joint shapes: a measurement of a party of an @ formula.
-    measured = _measured(right) if cut_formula is None else None
-    if measured is not None and (len(measured[0]) == 2
-                                 or _find_formula(left.consequent, measured[0][0]) is None):
+    measured = _measured(right)
+    if cut_formula is None and measured is not None and (
+            len(measured[0]) == 2 or _find_formula(left.consequent, measured[0][0]) is None):
         consequent = _collapse(left, *measured)
         if consequent is not None:
             expected = Sequent(left.antecedent, consequent, right.degree)
-            return _conclusion_check(conclusion, expected, action=_measurement(right))
+            return _conclusion_check(conclusion, expected, action=_measurement(measured))
 
     # Standard cut.
     if cut_formula is None:
@@ -431,27 +417,24 @@ def check_cut(left: Sequent, right: Sequent, conclusion: Sequent,
     expected = Sequent(left.antecedent + context,
                        _splice(left.consequent, left_pos, right.consequent),
                        degree)
-    return _conclusion_check(conclusion, expected, action=_measurement(right))
+    return _conclusion_check(conclusion, expected, action=_measurement(measured))
 
 
 # ---------------------------------------------------------------------------
 # Entanglement connective rules
 
-def _pairs_as_phi(p1: Sequent, p2: Sequent) -> bool:
-    """Whether the @-formation premises assert complementary literal pairs
-    of matching polarities, the one reading ('phi') of the @ connective."""
-    if len(p1.consequent) != 2 or len(p2.consequent) != 2:
-        return False
-    lits = [(_literal(p1.consequent[0]), _literal(p1.consequent[1])),
-            (_literal(p2.consequent[0]), _literal(p2.consequent[1]))]
-    if any(x is None for pair in lits for x in pair):
-        return False
-    (x1, y1), (x2, y2) = lits
+def _pairs_as_phi(p1: Sequent, p2: Sequent) -> Optional[Tuple[Atom, Atom]]:
+    """The first premise's literal pair when the two-formula @-formation
+    premises assert complementary literal pairs of matching polarities, the
+    one reading ('phi') of the @ connective, else ``None``."""
+    (x1, y1), (x2, y2) = (tuple(map(_literal, p.consequent)) for p in (p1, p2))
+    if any(x is None for x in (x1, y1, x2, y2)):
+        return None
     if x1.name != x2.name or y1.name != y2.name or x1.name == y1.name:
-        return False
-    if x1.negated == x2.negated or y1.negated == y2.negated:
-        return False
-    return x1.negated == y1.negated
+        return None
+    if x1.negated == x2.negated or y1.negated == y2.negated or x1.negated != y1.negated:
+        return None
+    return x1, y1
 
 
 def check_atform(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
@@ -466,7 +449,8 @@ def check_atform(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
                          "of the @-formation premises")
         if len(p.consequent) < 2:
             return _fail("SchemaMismatch", "@-formation premises assert a pair")
-    if not _pairs_as_phi(p1, p2):
+    pair = _pairs_as_phi(p1, p2)
+    if pair is None:
         return _fail("SchemaMismatch",
                      "premises must assert complementary literal pairs "
                      "of matching polarities (phi)")
@@ -474,29 +458,21 @@ def check_atform(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
         return _fail("SchemaMismatch", f"@ has the phi reading only, not {params[0]}")
     if (p1.degree is None) != (p2.degree is None):
         return _fail("DegreeMismatch", "either both premises carry a degree or neither")
-    x1 = _literal(p1.consequent[0])
-    y1 = _literal(p1.consequent[1])
-    if p1.degree is None:
-        qx: Formula = Qubit(x1.name)
-        qy: Formula = Qubit(y1.name)
-        candidates = [Ent(qx, qy)]
-    else:
-        deg_neg = p1.degree if x1.negated else p2.degree
-        deg_pos = p2.degree if x1.negated else p1.degree
-        candidates = [Ent(Qubit(x1.name, (deg_neg, deg_pos)), Qubit(y1.name))]
-        deg_neg_y = p1.degree if y1.negated else p2.degree
-        deg_pos_y = p2.degree if y1.negated else p1.degree
-        candidates.append(Ent(Qubit(x1.name), Qubit(y1.name, (deg_neg_y, deg_pos_y))))
     if len(conclusion.consequent) != 1 or conclusion.degree is not None:
         if len(conclusion.consequent) > 1:
             return _fail("VisibilityViolation",
                          "the @-formation conclusion asserts the entangled pair alone")
         return _fail("SchemaMismatch", "conclusion must assert the entangled pair")
-    for cand in candidates:
-        expected = Sequent(p1.antecedent, (cand,))
-        if sequent_equivalent(conclusion, expected):
-            return Verdict.passed("convention=phi", _JOIN)
-    return _conclusion_check(conclusion, Sequent(p1.antecedent, (candidates[0],)))
+    x, y = pair
+    if p1.degree is None:
+        candidates = [Ent(Qubit(x.name), Qubit(y.name))]
+    else:
+        # phi gives x and y one polarity, so either party carries one pair
+        degrees = (p1.degree, p2.degree) if x.negated else (p2.degree, p1.degree)
+        candidates = [Ent(Qubit(x.name, degrees), Qubit(y.name)),
+                      Ent(Qubit(x.name), Qubit(y.name, degrees))]
+    verdict = _conclusion_check(conclusion, *(Sequent(p1.antecedent, (c,)) for c in candidates))
+    return Verdict(True, message="convention=phi", action=_JOIN) if verdict.ok else verdict
 
 
 def check_atimplrefl(premise: Sequent, conclusion: Sequent,
@@ -516,17 +492,12 @@ def check_atimplrefl(premise: Sequent, conclusion: Sequent,
     # operand order as stated in the premise, before commutative reordering
     stated = premise.consequent[0]
     parties = stated if isinstance(stated, Ent) else ent
-    expected = Sequent(premise.antecedent,
-                       (Atom(party_wire(parties.left), negated),
-                        Atom(party_wire(parties.right), negated)),
-                       premise.degree)
-    action = ("project", tuple(a.name for a in expected.consequent), int(not negated))
-    if sequent_equivalent(conclusion, expected):
-        return Verdict.passed(action=action)
-    swapped = Sequent(expected.antecedent,
-                      (expected.consequent[1], expected.consequent[0]),
-                      expected.degree)
-    return _conclusion_check(conclusion, swapped, action=action)
+    wires = (party_wire(parties.left), party_wire(parties.right))
+    atoms = tuple(Atom(w, negated) for w in wires)
+    return _conclusion_check(conclusion,
+                             Sequent(premise.antecedent, atoms[::-1], premise.degree),
+                             Sequent(premise.antecedent, atoms, premise.degree),
+                             action=("project", wires, int(not negated)))
 
 
 def check_atexplrefl(premises: Tuple[Sequent, Sequent],
@@ -539,7 +510,7 @@ def check_atexplrefl(premises: Tuple[Sequent, Sequent],
                      "explicit @-reflection takes same-polarity literal assumptions")
     expected = Sequent((Ent(Qubit(x.name), Qubit(y.name)),),
                        p1.consequent + p2.consequent)
-    return _conclusion_check(conclusion, expected, "SchemaMismatch")
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch")
 
 
 def check_semidistrib(premise: Sequent, conclusion: Sequent) -> Verdict:
@@ -563,7 +534,7 @@ def check_semidistrib(premise: Sequent, conclusion: Sequent) -> Verdict:
     expected = Sequent(premise.antecedent,
                        _splice(premise.consequent, i, (lit, partner)),
                        premise.degree)
-    return _conclusion_check(conclusion, expected, "SchemaMismatch", _KEEP)
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch", action=_KEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +551,8 @@ def check_qsplit(premises: Tuple[Sequent, ...], conclusion: Sequent,
     branch = str(params[0]) if params else "pos"
     if branch not in ("pos", "neg"):
         return _fail("SchemaMismatch", f"unknown branch {branch!r}")
-    qubits = [(i, normalize(f)) for i, f in enumerate(source.consequent)
-              if isinstance(normalize(f), Qubit)]
-    candidates = [(i, q) for i, q in qubits if q.degrees is None]
+    candidates = [(i, q) for i, f in enumerate(source.consequent)
+                  if isinstance(q := normalize(f), Qubit) and q.degrees is None]
     if len(params) > 1:
         candidates = [(i, q) for i, q in candidates if q.name == str(params[1])]
     if len(candidates) != 1:
@@ -609,8 +579,8 @@ def check_qsplit(premises: Tuple[Sequent, ...], conclusion: Sequent,
     expected = Sequent(source.antecedent,
                        _splice(source.consequent, i, (outcome,)),
                        source.degree)
-    return _conclusion_check(conclusion, expected, "SchemaMismatch",
-                             ("project", (qubit.name,), int(not outcome.negated)))
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch",
+                             action=("project", (qubit.name,), int(not outcome.negated)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,13 +603,11 @@ def check_hrule(premise: Sequent, conclusion: Sequent) -> Verdict:
     stated = normalize(conclusion.consequent[0])
     if not isinstance(stated, Qubit) or stated.name != lit.name:
         return _fail("SchemaMismatch", "conclusion must assert the qubit of the same wire")
-    stated_degrees = stated.degrees or _H_PLUS
-    if not (degree_eq(stated_degrees[0], target[0])
-            and degree_eq(stated_degrees[1], target[1])):
+    if not degree_pair_eq(stated.degrees or _H_PLUS, target):
         return _fail("WrongDegrees",
                      f"H maps |{'0' if lit.negated else '1'}> to degrees "
                      f"({target[0].real:+.6f}, {target[1].real:+.6f})")
-    return Verdict.passed(action=("gate", "H", (lit.name,)))
+    return Verdict(True, action=("gate", "H", (lit.name,)))
 
 
 def check_hinverse(premise: Sequent, conclusion: Sequent) -> Verdict:
@@ -649,14 +617,14 @@ def check_hinverse(premise: Sequent, conclusion: Sequent) -> Verdict:
     if not isinstance(stated, Qubit):
         return _fail("SchemaMismatch", "H^-1 acts on a degreed qubit assertion")
     degrees = stated.degrees or _H_PLUS
-    if degree_eq(degrees[0], _H_PLUS[0]) and degree_eq(degrees[1], _H_PLUS[1]):
+    if degree_pair_eq(degrees, _H_PLUS):
         outcome = Atom(stated.name, negated=True)
-    elif degree_eq(degrees[0], _H_MINUS[0]) and degree_eq(degrees[1], _H_MINUS[1]):
+    elif degree_pair_eq(degrees, _H_MINUS):
         outcome = Atom(stated.name, negated=False)
     else:
         return _fail("WrongDegrees", "premise is neither the |+> nor the |-> cat state")
-    return _conclusion_check(conclusion, Sequent((), (outcome,)), "SchemaMismatch",
-                             ("gate", "H", (stated.name,)))
+    return _conclusion_check(conclusion, Sequent((), (outcome,)), code="SchemaMismatch",
+                             action=("gate", "H", (stated.name,)))
 
 
 _CNOT_CLAUSES = {
@@ -687,8 +655,8 @@ def check_cnot(premise: Sequent, conclusion: Sequent,
     # control true (|1>, positive literal) flips the target
     new_target = negate(target) if not control.negated else target
     expected = Sequent((), (control, new_target))
-    return _conclusion_check(conclusion, expected, "SchemaMismatch",
-                             ("gate", "CNOT", (control.name, target.name)))
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch",
+                             action=("gate", "CNOT", (control.name, target.name)))
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +688,7 @@ def check_epr(left: Sequent, right: Sequent, conclusion: Sequent,
     sub = check_parform(mid2, final, ())
     if not sub.ok:
         return _fail(sub.code, f"par formation step: {sub.message}")
-    return _conclusion_check(conclusion, final, action=_measurement(right))
+    return _conclusion_check(conclusion, final, action=_measurement(measured))
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +705,7 @@ def check_parallel(premises: Tuple[Sequent, Sequent], conclusion: Sequent,
         return _fail("SchemaMismatch", f"unknown join connective {join!r}")
     if verdict.ok:
         return verdict
-    if verdict.code in ("VisibilityViolation",):
+    if verdict.code == "VisibilityViolation":
         return verdict
     return _fail("JoinMismatch", verdict.message)
 
@@ -818,6 +786,11 @@ def postorder(tree: Derivation,
             else:
                 yield node, path or "root"
             path = path[:cut]
+
+
+def last_parents(nodes: Iterable[Derivation]) -> dict:
+    """Each premise's identity mapped to the last of ``nodes`` that uses it."""
+    return {id(p): node for node in nodes for p in node.premises}
 
 
 def check_derivation(tree: Derivation, mode: LogicMode = LogicMode.BASIC,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, List, Tuple
 
-from .kernel import Derivation, postorder
+from .kernel import Derivation, last_parents, postorder
 from .syntax import Formula, formula_str, formula_wires, sequent_str
 
 _DISPLAY = {
@@ -144,7 +144,7 @@ def render_ascii(tree: Derivation) -> str:
     if height * (width + 1) > MAX_ASCII_BYTES:
         raise RenderTooLarge(height, width)
     # a shared premise is drawn under each parent; its block goes after the last
-    last_parent = {id(p): node for node, _, _ in nodes for p in node.premises}
+    last_parent = last_parents(node for node, _, _ in nodes)
     blocks: Dict[int, tuple] = {}
     for node, conclusion, label in nodes:
         if not node.premises:

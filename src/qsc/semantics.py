@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import Derivation, LogicMode, NodeEntry, check_derivation
+from .kernel import Derivation, LogicMode, NodeEntry, check_derivation, last_parents
 from .syntax import (
     EVEN_DEGREES,
     SQRT1_2,
@@ -441,9 +441,16 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
             return SoundnessEntry(p, rule, "error", None, f"{type(exc).__name__}: {exc}")
 
     check = check_derivation(tree, mode, labels)
+    last = last_parents(e.node for e in check.entries)
+    entries = []
     # degrees that overflow the replay show as a NaN residual, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = [entry(e) for e in check.entries]
+        for e in check.entries:
+            entries.append(entry(e))
+            # a state is kept until its last parent's entry, no longer
+            for x in e.node.premises:
+                if last[id(x)] is e.node:
+                    denotations.pop(id(x), None)
     residuals = [e.residual for e in entries if e.kind == "state"]
     max_residual = float(np.max(residuals)) if residuals else 0.0  # NaN propagates
     ok = (max_residual <= tol

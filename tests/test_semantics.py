@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import ladder
 from qsc.corpus import corpus_text
 from qsc.kernel import check_derivation
 from qsc.parser import parse_script, parse_sequent, script_labels
@@ -278,6 +279,19 @@ class TestVerifySoundness:
         errors = [e for e in report.entries if e.kind == "error"]
         assert not report.ok and report.check_ok and errors
         assert all(e.note.startswith("NotNormalized: ") for e in errors)
+
+    def test_the_replay_keeps_the_frontiers_states_not_the_trees(self):
+        # 301 nodes of 12 wires: kept until the end, their states would take
+        # 301 x 64 KiB; a premise's state goes after its last parent's entry
+        tree = parse_script(ladder(100, wires=12)).theorems[0].derivation
+        tracemalloc.start()
+        try:
+            report = verify_soundness(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and len(report.entries) == 301
+        assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -92,3 +92,34 @@ def test_the_replay_reaches_its_primitives_through_the_module(monkeypatch):
             if entry.name == "tel":
                 assert counts == {"denote_assertion": 8, "apply": 4, "residual": 5}
     assert applied > 4
+
+
+def check_counts(monkeypatch, tree, labels):
+    # bench/tracing.py counts kernel normalization by rebinding these two
+    # module attributes; a kernel that normalizes by any other path (say
+    # through syntax.equivalent) zeroes the syntax.normalize span
+    kernel = importlib.import_module("qsc.kernel")
+    counts = dict.fromkeys(("normalize", "sequent_equivalent"), 0)
+    for name in counts:
+        def counting(*args, _original=getattr(kernel, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(kernel, name, counting)
+    report = kernel.check_derivation(tree, labels=labels)
+    monkeypatch.undo()
+    return counts, report
+
+
+def test_a_check_pass_reaches_normalization_through_the_module(monkeypatch):
+    totals = dict.fromkeys(("normalize", "sequent_equivalent"), 0)
+    for entry in CORPUS:
+        script = load_entry(entry)
+        for theorem in script.theorems:
+            counts, report = check_counts(monkeypatch, theorem.derivation,
+                                          script_labels(script))
+            assert report.ok, entry.name
+            for name in totals:
+                totals[name] += counts[name]
+            if entry.name == "tel":
+                assert counts == {"normalize": 12, "sequent_equivalent": 5}
+    assert all(totals.values()), totals
