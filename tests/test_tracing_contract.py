@@ -55,17 +55,24 @@ def test_the_parsers_reach_tokenize_through_the_module(monkeypatch):
         assert counts == [tokens], parse.__name__
 
 
+def count_calls(monkeypatch, module, names):
+    """Counters for the ``names`` of ``module``, bound as bench/tracing.py binds
+    its wrappers: by rebinding the module attribute."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _original=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 def replay_counts(monkeypatch, tree, labels):
     # bench/tracing.py times semantics.denote, .apply and .residual by
     # rebinding these module attributes; a replay that inlines one of them
     # zeroes its span
     semantics = importlib.import_module("qsc.semantics")
-    counts = dict.fromkeys(("denote_assertion", "apply", "residual"), 0)
-    for name in counts:
-        def counting(*args, _original=getattr(semantics, name), _name=name):
-            counts[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(semantics, name, counting)
+    counts = count_calls(monkeypatch, semantics, ("denote_assertion", "apply", "residual"))
     report = semantics.verify_soundness(tree, bindings={"alpha": 0.6, "beta": 0.8},
                                         labels=labels)
     monkeypatch.undo()
@@ -95,16 +102,11 @@ def test_the_replay_reaches_its_primitives_through_the_module(monkeypatch):
 
 
 def check_counts(monkeypatch, tree, labels):
-    # bench/tracing.py counts kernel normalization by rebinding these two
-    # module attributes; a kernel that normalizes by any other path (say
-    # through syntax.equivalent) zeroes the syntax.normalize span
+    # bench/tracing.py counts kernel normalization through these two module
+    # attributes; a kernel that normalizes by any other path (say through
+    # syntax.equivalent) zeroes the syntax.normalize span
     kernel = importlib.import_module("qsc.kernel")
-    counts = dict.fromkeys(("normalize", "sequent_equivalent"), 0)
-    for name in counts:
-        def counting(*args, _original=getattr(kernel, name), _name=name):
-            counts[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(kernel, name, counting)
+    counts = count_calls(monkeypatch, kernel, ("normalize", "sequent_equivalent"))
     report = kernel.check_derivation(tree, labels=labels)
     monkeypatch.undo()
     return counts, report
