@@ -24,7 +24,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import Derivation, LogicMode, NodeEntry, check_derivation, last_parents
+from . import kernel  # bench/tracing.py wraps qsc.kernel.check_derivation, which verify calls
+from .kernel import Derivation, LogicMode, NodeEntry, last_parents
 from .syntax import (
     EVEN_DEGREES,
     SQRT1_2,
@@ -249,7 +250,7 @@ def apply(matrix: np.ndarray, wires: Sequence[str], state: QState) -> QState:
     # the named wires to the front, the matrix on them, and back again
     order = axes + [i for i in range(n) if i not in axes]
     t = matrix @ state.amps.reshape([2] * n).transpose(order).reshape(2 ** k, -1)
-    t = t.reshape([2] * n).transpose(np.argsort(order))
+    t = t.reshape([2] * n).transpose(sorted(range(n), key=order.__getitem__))
     return QState(state.wires, t.reshape(-1))
 
 
@@ -440,7 +441,7 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
         except (WireMismatch, UnboundSymbolicDegree, NotNormalized) as exc:
             return SoundnessEntry(p, rule, "error", None, f"{type(exc).__name__}: {exc}")
 
-    check = check_derivation(tree, mode, labels)
+    check = kernel.check_derivation(tree, mode, labels)
     last = last_parents(e.node for e in check.entries)
     entries = []
     # degrees that overflow the replay show as a NaN residual, not a warning

@@ -41,6 +41,23 @@ def test_basic_pass_set_is_contained_in_intuitionistic():
     assert sum(intu.values()) == sum(basic.values()) == 13
 
 
+def test_an_entry_whose_theorem_fails_the_check_reads_no_residual_from_it(monkeypatch):
+    # the replay of t gives hrule a residual near 1e-16 before hinverse fails
+    text = """atoms A
+
+theorem t:
+  1: |- A^ premise
+  2: |- A^ &{0.70710678118, 0.70710678118} A by hrule(1)
+  3: |- A by hinverse(2)
+qed
+"""
+    monkeypatch.setattr("qsc.corpus.corpus_text", lambda filename: text)
+    result = run_entry(next(e for e in CORPUS if e.name == "h-rule"))
+    assert not result.check_ok and not result.verify_ok and not result.ok
+    assert result.goal_ok and result.semantic_ok is None
+    assert result.max_residual == 0.0
+
+
 def test_swapped_cnot_clause_fails_only_the_ent_entry():
     text = corpus_text("ent.qsc").replace("cnot[a'](4)", "cnot[b'](4)")
     script = parse_script(text)

@@ -10,6 +10,7 @@ from qsc.kernel import (
     check_andform,
     check_andrefl,
     check_atform,
+    check_atimplrefl,
     check_cnot,
     check_cut,
     check_derivation,
@@ -189,6 +190,18 @@ class TestAt:
         node = Derivation("atimplrefl", sq("|- A, B"),
                           (Derivation("premise", sq("|- Q_A @ Q_B")),), ("pos",))
         assert check_node(node, BASIC).ok
+
+    @pytest.mark.parametrize("premise, wires", [("|- Q_A @ Q_B", ("A", "B")),
+                                                ("|- Q_B @ Q_A", ("B", "A"))])
+    @pytest.mark.parametrize("branch, bit, literal", [("pos", 1, "{}"), ("neg", 0, "{}^")])
+    def test_implicit_reflection_projects_the_premises_wires_in_order(
+            self, premise, wires, branch, bit, literal):
+        # a projection onto one bit on every wire is order-free in the state
+        # model, so only the action itself pins the stated order
+        for order in (wires, wires[::-1]):
+            conclusion = sq("|- " + ", ".join(literal.format(w) for w in order))
+            v = check_atimplrefl(sq(premise), conclusion, (branch,))
+            assert v.ok and v.action == ("project", wires, bit), (premise, conclusion)
 
     def test_extra_right_qubit_is_a_context_violation(self):
         # the gate behind non-associativity of @: a third qubit on the

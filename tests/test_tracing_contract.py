@@ -125,3 +125,28 @@ def test_a_check_pass_reaches_normalization_through_the_module(monkeypatch):
             if entry.name == "tel":
                 assert counts == {"normalize": 12, "sequent_equivalent": 5}
     assert all(totals.values()), totals
+
+
+def test_a_replay_checks_through_the_kernel_module_once(monkeypatch):
+    # bench/tracing.py times kernel.check by rebinding qsc.kernel's attribute;
+    # a replay that checks through a name of its own hides that span
+    kernel = importlib.import_module("qsc.kernel")
+    semantics = importlib.import_module("qsc.semantics")
+    script = load_entry(next(e for e in CORPUS if e.name == "tel"))
+    counts = count_calls(monkeypatch, kernel, ("check_derivation",))
+    report = semantics.verify_soundness(script.theorems[0].derivation,
+                                        bindings={"alpha": 0.6, "beta": 0.8},
+                                        labels=script_labels(script))
+    assert report.ok and counts == {"check_derivation": 1}
+
+
+def test_the_corpus_checks_each_theorem_once_in_its_replay(monkeypatch):
+    kernel = importlib.import_module("qsc.kernel")
+    corpus = importlib.import_module("qsc.corpus")
+    theorems = sum(len(load_entry(entry).theorems) for entry in CORPUS)
+    through_kernel = count_calls(monkeypatch, kernel, ("check_derivation",))
+    through_corpus = count_calls(monkeypatch, corpus, ("check_derivation",))
+    assert all(result.ok for result in corpus.run_corpus())
+    assert theorems == 18
+    assert through_kernel == {"check_derivation": 18}
+    assert through_corpus == {"check_derivation": 0}
