@@ -4,7 +4,9 @@ Commands: ``check``, ``verify``, ``render``, ``corpus``, ``teleport``.
 Exit codes, fixed for CI use: 0 success, 1 semantic or structural failure,
 2 unreadable or unparseable input, an unwritable ``--out`` or an ascii
 drawing past ``render.MAX_ASCII_BYTES``, 3 phase-order error (verify
-requested on a script that fails the structural check).
+requested on a script that fails the structural check).  A command returns
+0 or 1 from ``_report``; a refusal (2 or 3) is one ``_Refused`` raised to
+``main``, which prints its one stderr line and returns its code.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ EXIT_INPUT = 2
 EXIT_PHASE = 3
 
 
+class _Refused(Exception):
+    """A refusal: ``main`` prints it as one stderr line and returns ``code``."""
+
+    def __init__(self, line: str, code: int = EXIT_INPUT):
+        super().__init__(line)
+        self.code = code
+
+
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
@@ -40,18 +50,16 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
-def _read_script(path: str) -> Optional[ProofScript]:
+def _read_script(path: str) -> ProofScript:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise _Refused(f"error: cannot read {path}: {exc}")
     try:
         return parse_script(text)
     except ScriptError as exc:
-        print(f"{path}:{exc.span}: {type(exc).__name__}: {exc.message}", file=sys.stderr)
-        return None
+        raise _Refused(f"{path}:{exc.span}: {type(exc).__name__}: {exc.message}")
 
 
 def _format_check(report: CheckReport, layout: str) -> List[str]:
@@ -97,37 +105,31 @@ def _write(handle: TextIO, lines: List[str]) -> None:
         handle.write("\n")
 
 
-def _emit(lines: List[str], out_path: Optional[str]) -> bool:
-    """Write each line and a newline; False after reporting that
-    ``out_path`` cannot be written."""
-    if not out_path:
+def _report(lines: List[str], out: Optional[str], ok: bool) -> int:
+    """Write each line and a newline to ``out``, or to stdout if none is
+    given, and return the exit code that ``ok`` decides."""
+    if not out:
         _write(sys.stdout, lines)
-        return True
-    try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            _write(handle, lines)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return False
-    return True
+    else:
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                _write(handle, lines)
+        except OSError as exc:
+            raise _Refused(f"error: cannot write {out}: {exc}")
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _bindings(args) -> Optional[Dict[str, complex]]:
-    """The alpha/beta bindings, or None after reporting that they are not
-    normalized."""
+def _bindings(args) -> Dict[str, complex]:
     bindings = {"alpha": args.alpha, "beta": args.beta}
     try:
         check_bindings(bindings)
     except NotNormalized as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise _Refused(f"error: {exc}")
     return bindings
 
 
 def cmd_check(args) -> int:
     script = _read_script(args.path)
-    if script is None:
-        return EXIT_INPUT
     mode = LogicMode(args.mode)
     labels = script_labels(script)
     lines: List[str] = []
@@ -138,58 +140,44 @@ def cmd_check(args) -> int:
         report = check_derivation(theorem.derivation, mode, labels)
         lines.extend(_format_check(report, args.format))
         ok = ok and report.ok
-    if not _emit(lines, args.out):
-        return EXIT_INPUT
-    return EXIT_OK if ok else EXIT_FAILURE
+    return _report(lines, args.out, ok)
 
 
 def cmd_verify(args) -> int:
     bindings = _bindings(args)
-    if bindings is None:
-        return EXIT_INPUT
     script = _read_script(args.path)
-    if script is None:
-        return EXIT_INPUT
     mode = LogicMode(args.mode)
     labels = script_labels(script)
     reports = [verify_soundness(theorem.derivation, mode, args.tol, bindings, labels)
                for theorem in script.theorems]
     for theorem, report in zip(script.theorems, reports):
         if not report.check_ok:
-            print(f"error: theorem {theorem.name} fails the structural check; "
-                  "run 'check' first", file=sys.stderr)
-            return EXIT_PHASE
+            raise _Refused(f"error: theorem {theorem.name} fails the structural check; "
+                           "run 'check' first", EXIT_PHASE)
     lines: List[str] = []
     for theorem, report in zip(script.theorems, reports):
         if args.format == "human":
             lines.append(f"theorem {theorem.name}:")
         lines.extend(_format_soundness(report, args.format))
-    if not _emit(lines, args.out):
-        return EXIT_INPUT
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_FAILURE
+    return _report(lines, args.out, all(r.ok for r in reports))
 
 
 def cmd_render(args) -> int:
     script = _read_script(args.path)
-    if script is None:
-        return EXIT_INPUT
     lines: List[str] = []
     for theorem in script.theorems:
         try:
             drawing = render(theorem.derivation, args.style)
         except RenderTooLarge as exc:
-            print(f"error: theorem {theorem.name}: ascii drawing of {exc}; "
-                  "use --style linear", file=sys.stderr)
-            return EXIT_INPUT
+            raise _Refused(f"error: theorem {theorem.name}: ascii drawing of {exc}; "
+                           "use --style linear")
         # a drawing ends in its one newline, so the next makes a blank line
         lines += (f"-- theorem {theorem.name}", drawing)
-    return EXIT_OK if _emit(lines, args.out) else EXIT_INPUT
+    return _report(lines, args.out, True)
 
 
 def cmd_corpus(args) -> int:
     bindings = _bindings(args)
-    if bindings is None:
-        return EXIT_INPUT
     mode = LogicMode(args.mode)
     results = run_corpus(mode, args.tol, bindings)
     lines: List[str] = []
@@ -213,19 +201,15 @@ def cmd_corpus(args) -> int:
                          f"{r.max_residual:<10.1e} {semantic}{note}")
         passed = sum(1 for r in results if r.ok)
         lines.append(f"{passed}/{len(results)} corpus entries pass ({mode.value} mode)")
-    if not _emit(lines, args.out):
-        return EXIT_INPUT
     divergent = [r.name for r in results if not r.ok]
+    code = _report(lines, args.out, not divergent)
     if divergent:
         print("divergent entries: " + ", ".join(divergent), file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return code
 
 
 def cmd_teleport(args) -> int:
     bindings = _bindings(args)
-    if bindings is None:
-        return EXIT_INPUT
     outcomes = teleport_oracle(bindings["alpha"], bindings["beta"])
     lines: List[str] = []
     if args.format == "machine":
@@ -238,11 +222,9 @@ def cmd_teleport(args) -> int:
         for o in outcomes:
             lines.append(f"  {o.bell_outcome:<8} {o.probability:<12.6f} "
                          f"{o.correction:<11} {o.fidelity:.9f}")
-    if not _emit(lines, args.out):
-        return EXIT_INPUT
     ok = all(abs(o.probability - 0.25) <= args.tol and abs(o.fidelity - 1.0) <= args.tol
              for o in outcomes)
-    return EXIT_OK if ok else EXIT_FAILURE
+    return _report(lines, args.out, ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,52 +233,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check, verify and render qubit sequent-calculus derivations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_path=True, with_mode=True, with_values=True):
-        if with_path:
-            p.add_argument("path", help="proof script (.qsc)")
-        if with_mode:
-            p.add_argument("--mode", choices=["basic", "intuitionistic"],
-                           default="basic", help="context discipline (default basic)")
-        if with_values:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="residual tolerance (default 1e-9)")
-            p.add_argument("--alpha", type=_parse_complex,
-                           default=DEFAULT_BINDINGS["alpha"],
-                           help="value bound to the symbolic degree alpha")
-            p.add_argument("--beta", type=_parse_complex,
-                           default=DEFAULT_BINDINGS["beta"],
-                           help="value bound to the symbolic degree beta")
-        p.add_argument("--format", choices=["human", "machine"], default="human")
-        p.add_argument("--out", help="write the report to this path")
+    # option groups; a command lists the ones it reads
+    path, mode, values, report = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    path.add_argument("path", help="proof script (.qsc)")
+    mode.add_argument("--mode", choices=["basic", "intuitionistic"],
+                      default="basic", help="context discipline (default basic)")
+    values.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="residual tolerance (default 1e-9)")
+    values.add_argument("--alpha", type=_parse_complex, default=DEFAULT_BINDINGS["alpha"],
+                        help="value bound to the symbolic degree alpha")
+    values.add_argument("--beta", type=_parse_complex, default=DEFAULT_BINDINGS["beta"],
+                        help="value bound to the symbolic degree beta")
+    report.add_argument("--format", choices=["human", "machine"], default="human")
+    report.add_argument("--out", help="write the report to this path")
 
-    p = sub.add_parser("check", help="structural check of every theorem")
-    common(p, with_values=False)
-    p.set_defaults(func=cmd_check)
+    def command(name, summary, func, *groups):
+        p = sub.add_parser(name, help=summary, parents=groups)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="state-vector soundness verification")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("render", help="pretty-print the derivations")
-    p.add_argument("path")
+    command("check", "structural check of every theorem", cmd_check, path, mode, report)
+    command("verify", "state-vector soundness verification", cmd_verify,
+            path, mode, values, report)
+    p = command("render", "pretty-print the derivations", cmd_render, path)
     p.add_argument("--style", choices=["ascii", "linear"], default="ascii")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("corpus", help="run the bundled derivation corpus")
-    common(p, with_path=False)
-    p.set_defaults(func=cmd_corpus)
-
-    p = sub.add_parser("teleport", help="brute-force teleportation oracle")
-    common(p, with_path=False, with_mode=False)
-    p.set_defaults(func=cmd_teleport)
-
+    command("corpus", "run the bundled derivation corpus", cmd_corpus, mode, values, report)
+    command("teleport", "brute-force teleportation oracle", cmd_teleport, values, report)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as refusal:
+        print(refusal, file=sys.stderr)
+        return refusal.code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ import pytest
 
 from conftest import ladder
 from qsc.cli import main
-from qsc.render import MAX_ASCII_BYTES
+from qsc.corpus import corpus_text
+from qsc.parser import parse_script
+from qsc.render import MAX_ASCII_BYTES, render
 from qsc.semantics import MAX_WIRES
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -38,9 +40,11 @@ class TestCheck:
         code, _, err = run("check", str(DATA / "broken.qsc"))
         assert code == 2 and "ScriptSyntaxError" in err
 
-    def test_missing_file(self):
-        code, _, err = run("check", "no-such-file.qsc")
-        assert code == 2 and "cannot read" in err
+    @pytest.mark.parametrize("command", ["check", "verify", "render"])
+    def test_missing_file(self, command):
+        code, out, err = run(command, "no-such-file.qsc")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read no-such-file.qsc: ") and err.count("\n") == 1
 
     def test_a_script_that_is_not_utf8(self, tmp_path):
         script = tmp_path / "bad.qsc"
@@ -150,6 +154,16 @@ class TestVerify:
         code, out, _ = run("verify", str(script), "--format", "machine")
         assert code == 1 and "verify\tt:3\tcut\terror\t-\t" in out
 
+    def test_the_at_axiom_and_explicit_reflection_carry_no_state(self):
+        path = DATA / "at-reflection.qsc"
+        assert run("check", str(path))[0] == 0
+        code, out, _ = run("verify", str(path), "--format", "machine")
+        kinds = [line.split("\t")[3] for line in out.splitlines() if line.startswith("verify\t")]
+        assert code == 0 and kinds == ["nonsemantic"] * 4
+        for theorem in parse_script(path.read_text()).theorems:
+            tree = theorem.derivation
+            assert parse_script(render(tree, "linear")).theorems[0].derivation == tree
+
 
 class TestRender:
     def test_ascii(self):
@@ -203,6 +217,25 @@ class TestCorpus:
         assert len([l for l in lines if l.startswith("entry\t")]) == 13
         assert lines[-1] == "result\t13/13"
 
+    @pytest.fixture
+    def divergent_ent(self, monkeypatch):
+        # only ent.qsc has this step; the swapped clause fails its check
+        monkeypatch.setattr("qsc.corpus.corpus_text", lambda filename: corpus_text(filename)
+                            .replace("cnot[a'](4)", "cnot[b'](4)"))
+
+    def test_a_divergent_entry_is_named_after_the_report(self, divergent_ent):
+        code, out, err = run("corpus", "--format", "machine")
+        assert code == 1 and out.splitlines()[-1] == "result\t12/13"
+        assert "entry\tent\tfail\t" in out
+        assert err == "divergent entries: ent\n"
+
+    def test_a_divergent_run_with_an_unwritable_out_names_only_the_out(
+            self, divergent_ent, tmp_path):
+        target = tmp_path / "no-such-dir" / "report.txt"
+        code, out, err = run("corpus", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
 
 class TestTeleport:
     def test_default_pair(self):
@@ -247,3 +280,10 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
+
+
+def test_a_value_that_is_not_complex_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport", "--alpha", "abc"])
+    assert exc.value.code == 2
+    assert "not a complex number: 'abc'" in capsys.readouterr().err

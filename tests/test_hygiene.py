@@ -1,0 +1,62 @@
+"""Source hygiene of ``src/qsc``: no unused imports, no unused parameters.
+
+Each module but ``__init__.py`` (which imports to re-export) is read as an
+AST.  The one allowed unused import is a name ``bench/tracing.py`` wraps in
+that module, since the tracer can only rebind a name the module binds:
+``qsc.corpus.check_derivation`` and ``qsc.semantics.normalize`` today.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+from test_tracing_contract import load_tracing
+
+SRC = pathlib.Path(__file__).parents[1] / "src" / "qsc"
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def read_names(tree: ast.AST) -> set:
+    """Every name the tree loads, by itself or as the root of an attribute."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def unused_imports(tree: ast.Module) -> list:
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    read = read_names(tree)
+    return sorted(name for name in imported if name not in read)
+
+
+def unused_parameters(tree: ast.Module) -> list:
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        read = set().union(*(read_names(statement) for statement in node.body))
+        unused += [f"{node.name}({p.arg})" for p in params
+                   if p.arg != "self" and p.arg not in read]
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    unused = unused_imports(ast.parse(path.read_text()))
+    allowed = {attr for module, attr, _, _ in load_tracing().WRAPPED
+               if module == f"qsc.{path.stem}"}
+    assert [name for name in unused if name not in allowed] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_function_has_a_parameter_it_never_reads(path):
+    assert unused_parameters(ast.parse(path.read_text())) == []

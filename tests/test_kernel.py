@@ -9,6 +9,8 @@ from qsc.kernel import (
     LogicMode,
     check_andform,
     check_andrefl,
+    check_ataxiom,
+    check_atexplrefl,
     check_atform,
     check_atimplrefl,
     check_cnot,
@@ -202,6 +204,68 @@ class TestAt:
             conclusion = sq("|- " + ", ".join(literal.format(w) for w in order))
             v = check_atimplrefl(sq(premise), conclusion, (branch,))
             assert v.ok and v.action == ("project", wires, bit), (premise, conclusion)
+
+    @pytest.mark.parametrize("premises, conclusion, message", [
+        (("|- A, B & B^", "|- A^, B^"), "|- Q_A @ Q_B",
+         "premises must assert complementary literal pairs of matching polarities (phi)"),
+        (("|- A, B", "|- A^, C^"), "|- Q_A @ Q_B",
+         "premises must assert complementary literal pairs of matching polarities (phi)"),
+        (("|- A, A", "|- A^, A^"), "|- Q_A @ Q_A",
+         "premises must assert complementary literal pairs of matching polarities (phi)"),
+        (("|-{0.6} A, B", "|- A^, B^"), "|- Q_A @ Q_B",
+         "either both premises carry a degree or neither"),
+        (("|- A, B", "|- A^, B^"), "|- Q_A @ Q_B, A",
+         "the @-formation conclusion asserts the entangled pair alone"),
+        (("|- A, B", "|- A^, B^"), "|-", "conclusion must assert the entangled pair"),
+        (("|- A, B", "|- A^, B^"), "|-{0.6} Q_A @ Q_B",
+         "conclusion must assert the entangled pair"),
+    ], ids=["not-literals", "other-wires", "one-wire", "one-degree", "extra-formula",
+            "empty", "degreed"])
+    def test_formation_failures(self, premises, conclusion, message):
+        v = check_atform(tuple(map(sq, premises)), sq(conclusion), ())
+        assert not v.ok and v.message == message
+
+    @pytest.mark.parametrize("conclusion", ["Q_A @ Q_B |- A, B", "Q_A @ Q_B |- A^, B^",
+                                            "Q_B @ Q_A |- A, B"])
+    def test_axiom(self, conclusion):
+        v = check_ataxiom(Derivation("ataxiom", sq(conclusion)))
+        assert v.ok and v.action == ()
+
+    @pytest.mark.parametrize("conclusion, message", [
+        ("Q_A, Q_B |- A, B", "@-axiom has the shape 'Q_X @ Q_Y |- x, y'"),
+        ("Q_A @ Q_B |- A", "@-axiom has the shape 'Q_X @ Q_Y |- x, y'"),
+        ("Q_A # Q_B |- A, B", "@-axiom has the shape 'Q_X @ Q_Y |- x, y'"),
+        ("Q_A @ Q_B |- A & A^, B", "@-axiom has the shape 'Q_X @ Q_Y |- x, y'"),
+        ("A @ Q_B |- A, B", "@-axiom requires both parties entangled"),
+        ("Q_A @ Q_B |- A, C", "@-axiom literals must name the entangled wires"),
+    ], ids=["two-assumptions", "one-literal", "par", "not-a-literal", "collapsed-party",
+            "other-wire"])
+    def test_axiom_failures(self, conclusion, message):
+        v = check_ataxiom(Derivation("ataxiom", sq(conclusion)))
+        assert not v.ok and v.code == "SchemaMismatch" and v.message == message
+
+    @pytest.mark.parametrize("premises, conclusion", [
+        (("A |- X", "B |- Y"), "Q_A @ Q_B |- X, Y"),
+        (("A^ |- X", "B^ |- Y"), "Q_A @ Q_B |- X, Y"),
+        (("A |- X", "B |- Y"), "Q_B @ Q_A |- X, Y"),
+    ])
+    def test_explicit_reflection(self, premises, conclusion):
+        v = check_atexplrefl(tuple(map(sq, premises)), sq(conclusion))
+        assert v.ok and v.action == ()
+
+    @pytest.mark.parametrize("premises, conclusion, message", [
+        (("A |- X", "B^ |- Y"), "Q_A @ Q_B |- X, Y",
+         "explicit @-reflection takes same-polarity literal assumptions"),
+        (("A |- X", "A |- Y"), "Q_A @ Q_A |- X, Y",
+         "explicit @-reflection takes same-polarity literal assumptions"),
+        (("A, C |- X", "B |- Y"), "Q_A @ Q_B |- X, Y",
+         "explicit @-reflection takes same-polarity literal assumptions"),
+        (("A |- X", "B |- Y"), "Q_A @ Q_B |- Y, X",
+         "stated 'Q_A @ Q_B |- Y, X' does not match schema conclusion 'Q_A @ Q_B |- X, Y'"),
+    ], ids=["polarities", "one-wire", "context", "swapped-consequents"])
+    def test_explicit_reflection_failures(self, premises, conclusion, message):
+        v = check_atexplrefl(tuple(map(sq, premises)), sq(conclusion))
+        assert not v.ok and v.code == "SchemaMismatch" and v.message == message
 
     def test_extra_right_qubit_is_a_context_violation(self):
         # the gate behind non-associativity of @: a third qubit on the

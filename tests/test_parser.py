@@ -348,7 +348,7 @@ INSERTED = ["$", "\f", "\v", "\x00", "é", "٣", "²", "\U0001d538"]
 class TestDifferentialLexing:
     def test_every_script_and_deep_input(self):
         texts = [*SCRIPTS.values(), gen.hadamard_chain(1000), gen.ladder(12)]
-        assert len(SCRIPTS) == 17  # 13 corpus files, 4 in tests/data
+        assert len(SCRIPTS) == 18  # 13 corpus files, 5 in tests/data
         for text in texts:
             assert lexed(tokenize, text) == lexed(reference_tokenize, text)
 
