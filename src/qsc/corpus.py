@@ -35,52 +35,28 @@ from .syntax import sequent_equivalent
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
-    filename: str
-    title: str
     goal: str                      # conclusion of the file's final theorem
     target: Optional[str] = None   # key of the semantic target, if any
 
+    @property
+    def filename(self) -> str:
+        return self.name + ".qsc"
+
 
 CORPUS: Tuple[CorpusEntry, ...] = (
-    CorpusEntry("cut-destroys-cat-1", "cut-destroys-cat-1.qsc",
-                "cut collapses the cat state to the one bit",
-                "|- A", "bit1"),
-    CorpusEntry("cut-destroys-cat-0", "cut-destroys-cat-0.qsc",
-                "cut collapses the cat state to the zero bit",
-                "|- A^", "bit0"),
-    CorpusEntry("cut-parallel", "cut-parallel.qsc",
-                "both cut branches in parallel restore the cat state",
-                "|- A & A^", "cat_identity"),
-    CorpusEntry("epr", "epr.qsc",
-                "measuring one party collapses the entangled pair",
-                "|- A # B", "pair11"),
-    CorpusEntry("epr-parallel", "epr-parallel.qsc",
-                "both EPR branches in parallel restore the entangled pair",
-                "|- Q_A @ Q_B", "bell_identity"),
-    CorpusEntry("h-rule", "h-rule.qsc",
-                "the Hadamard rule and its inverse on both bits",
-                "|- A"),
-    CorpusEntry("h-parallel", "h-parallel.qsc",
-                "Hadamard on both bits in parallel collapses to the zero bit",
-                "|- A^", "bit0"),
-    CorpusEntry("cnot-derivation", "cnot-derivation.qsc",
-                "the controlled-not clauses derived from negation moves",
-                "|- B^, A^"),
-    CorpusEntry("cnot-action", "cnot-action.qsc",
-                "controlled-not entangles a control qubit with a target bit",
-                "|- Q_B @ Q_A", "bell_ba"),
-    CorpusEntry("cnot-parallel", "cnot-parallel.qsc",
-                "controlled-not on both targets yields a separable pair",
-                "|- Q_B, Q_A", "separable_ba"),
-    CorpusEntry("ent", "ent.qsc",
-                "entanglement theorem: measure, then controlled-not",
-                "|- Q_B @ Q_A", "bell_ba"),
-    CorpusEntry("nogo", "nogo.qsc",
-                "no entanglement in parallel: the separable pair returns",
-                "|- Q_B, Q_A", "separable_ba"),
-    CorpusEntry("tel", "tel.qsc",
-                "teleportation of an unknown qubit by cuts and EPR branches",
-                "|- Q_C{alpha, beta} @ Q_B", "teleported_cb"),
+    CorpusEntry("cut-destroys-cat-1", "|- A", "bit1"),
+    CorpusEntry("cut-destroys-cat-0", "|- A^", "bit0"),
+    CorpusEntry("cut-parallel", "|- A & A^", "cat_identity"),
+    CorpusEntry("epr", "|- A # B", "pair11"),
+    CorpusEntry("epr-parallel", "|- Q_A @ Q_B", "bell_identity"),
+    CorpusEntry("h-rule", "|- A"),
+    CorpusEntry("h-parallel", "|- A^", "bit0"),
+    CorpusEntry("cnot-derivation", "|- B^, A^"),
+    CorpusEntry("cnot-action", "|- Q_B @ Q_A", "bell_ba"),
+    CorpusEntry("cnot-parallel", "|- Q_B, Q_A", "separable_ba"),
+    CorpusEntry("ent", "|- Q_B @ Q_A", "bell_ba"),
+    CorpusEntry("nogo", "|- Q_B, Q_A", "separable_ba"),
+    CorpusEntry("tel", "|- Q_C{alpha, beta} @ Q_B", "teleported_cb"),
 )
 
 DEFAULT_BINDINGS: Dict[str, complex] = {"alpha": 0.6 + 0j, "beta": 0.8 + 0j}

@@ -41,6 +41,7 @@ from .syntax import (
     SymDegree,
     formula_str,
     normalize,  # unused here; bench/tracing.py:WRAPPED wraps qsc.semantics.normalize
+    qubit_amplitudes,
     sequent_str,
 )
 
@@ -49,6 +50,8 @@ DEFAULT_TOL = 1e-9
 ZERO_NORM = 1e-15
 # The widest state built: 2**16 complex amplitudes take 1 MiB.
 MAX_WIRES = 16
+
+Wires = Tuple[str, ...]
 
 
 class WireMismatch(Exception):
@@ -137,16 +140,7 @@ def _unit(amps: np.ndarray) -> Optional[np.ndarray]:
     return None if n < ZERO_NORM else amps * (1.0 / n)
 
 
-def basis_state(wires: Sequence[str], bits: Sequence[int]) -> QState:
-    amps = np.zeros(2 ** len(wires), dtype=complex)
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    amps[index] = 1.0
-    return QState(tuple(wires), amps)
-
-
-def _product(factors: Iterable[QState]) -> Tuple[Tuple[str, ...], np.ndarray]:
+def _product(factors: Iterable[Tuple[Wires, np.ndarray]]) -> Tuple[Wires, np.ndarray]:
     """Wires and amplitudes of the tensor product, folded left to right.
 
     Each factor is tested for wires it shares with the ones before it, then
@@ -154,39 +148,43 @@ def _product(factors: Iterable[QState]) -> Tuple[Tuple[str, ...], np.ndarray]:
     ``2**MAX_WIRES`` is made.
     """
     factors = iter(factors)
-    first = next(factors)
-    wires, amps = first.wires, first.amps
-    for f in factors:
-        shared = set(wires) & set(f.wires)
+    wires, amps = next(factors)
+    for more, factor in factors:
+        shared = sorted(set(wires) & set(more))
         if shared:
-            raise WireMismatch(f"overlapping wires {shared}")
-        wires += f.wires
+            raise WireMismatch(f"overlapping wires {{{', '.join(map(repr, shared))}}}")
+        wires += more
         if len(wires) > MAX_WIRES:
             raise WireMismatch(f"{len(wires)} wires exceed the cap of {MAX_WIRES}")
-        amps = np.multiply.outer(amps, f.amps).ravel()
+        amps = np.multiply.outer(amps, factor).ravel()
     return wires, amps
 
 
 def tensor(a: QState, b: QState) -> QState:
-    return QState(*_product((a, b)))
+    return QState(*_product(((a.wires, a.amps), (b.wires, b.amps))))
+
+
+def _aligned(have: Wires, amps: np.ndarray, wires: Wires) -> np.ndarray:
+    """``amps`` on the wires ``have``, reordered to ``wires`` (the same set)."""
+    if set(wires) != set(have):
+        raise WireMismatch(f"cannot align {have} to {wires}")
+    if wires == have:
+        return amps
+    perm = [have.index(w) for w in wires]
+    return amps.reshape([2] * len(wires)).transpose(perm).reshape(-1)
 
 
 def align(state: QState, wires: Sequence[str]) -> QState:
     """Reorder the wire axes to the given order (same wire set required)."""
     wires = tuple(wires)
-    if set(wires) != set(state.wires):
-        raise WireMismatch(f"cannot align {state.wires} to {wires}")
-    if wires == state.wires:
-        return state
-    n = len(wires)
-    perm = [state.wires.index(w) for w in wires]
-    amps = state.amps.reshape([2] * n).transpose(perm).reshape(-1)
-    return QState(wires, amps)
+    amps = _aligned(state.wires, state.amps, wires)
+    return state if wires == state.wires else QState(wires, amps)
 
 
 def residual(predicted: QState, actual: QState) -> float:
     """Norm distance after normalization, wire alignment and phase alignment."""
-    vp, vb = _unit(predicted.amps), _unit(align(actual, predicted.wires).amps)
+    vp = _unit(predicted.amps)
+    vb = _unit(_aligned(actual.wires, actual.amps, predicted.wires))
     if vp is None or vb is None:
         return 0.0 if vp is None and vb is None else 1.0
     overlap = np.vdot(vb, vp)
@@ -197,8 +195,7 @@ def residual(predicted: QState, actual: QState) -> float:
 
 def fidelity(a: QState, b: QState) -> float:
     """|<a|b>|^2 after normalization and wire alignment, clipped to [0, 1]."""
-    b = align(b, a.wires)
-    va, vb = a.amps, b.amps
+    va, vb = a.amps, _aligned(b.wires, b.amps, a.wires)
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na < ZERO_NORM or nb < ZERO_NORM:
         raise ZeroState("fidelity of a zero state is undefined")
@@ -256,8 +253,8 @@ def apply(matrix: np.ndarray, wires: Sequence[str], state: QState) -> QState:
 
 def combine_parallel(left: QState, right: QState) -> QState:
     """Denotation of a two-branch join: (1/sqrt2) (left + right)."""
-    right = align(right, left.wires)
-    return QState(left.wires, SQRT1_2 * (left.amps + right.amps))
+    right = _aligned(right.wires, right.amps, left.wires)
+    return QState(left.wires, SQRT1_2 * (left.amps + right))
 
 
 # ---------------------------------------------------------------------------
@@ -270,49 +267,37 @@ def _pair(degrees, bindings) -> Tuple[complex, complex]:
     return resolve_degree(degrees[0], bindings), resolve_degree(degrees[1], bindings)
 
 
-def denote_formula(f: Formula, bindings: Optional[Dict[str, complex]] = None) -> QState:
-    if isinstance(f, Atom):
-        return basis_state((f.name,), (0 if f.negated else 1,))
+def _denote(f: Formula, bindings) -> Tuple[Wires, np.ndarray]:
+    """Wires and amplitudes of the state a formula asserts."""
+    if isinstance(f, (Atom, Qubit)):
+        return (f.name,), np.array(_pair(qubit_amplitudes(f), bindings), dtype=complex)
     if isinstance(f, Null):
-        return QState((), np.zeros(1, dtype=complex))
-    if isinstance(f, Qubit):
-        return QState((f.name,), np.array(_pair(f.degrees, bindings), dtype=complex))
+        return (), np.zeros(1, dtype=complex)
     if isinstance(f, Par):
-        return tensor(denote_formula(f.left, bindings),
-                      denote_formula(f.right, bindings))
+        return _product(_denote(g, bindings) for g in (f.left, f.right))
     if isinstance(f, And):
         dl, dr = _pair(f.degrees, bindings)
-        left = denote_formula(f.left, bindings)
-        right = denote_formula(f.right, bindings)
-        if not left.wires and not left.amps.any():
-            return QState(right.wires, dr * right.amps)
-        if not right.wires and not right.amps.any():
-            return QState(left.wires, dl * left.amps)
-        right = align(right, left.wires)
-        return QState(left.wires, dl * left.amps + dr * right.amps)
+        (lw, left), (rw, right) = _denote(f.left, bindings), _denote(f.right, bindings)
+        if not lw and not left.any():
+            return rw, dr * right
+        if not rw and not right.any():
+            return lw, dl * left
+        return lw, dl * left + dr * _aligned(rw, right, lw)
     if isinstance(f, Ent):
-        return _denote_ent(f, bindings)
-    raise NonDenotableSequent(f"no denotation for {formula_str(f)}")
-
-
-def _denote_ent(f: Ent, bindings) -> QState:
-    """The phi reading: d0 |00> + d1 |11> on the two parties' wires."""
-    left, right = f.left, f.right
-    if isinstance(left, Atom) or isinstance(right, Atom):
-        lit, qubit = (left, right) if isinstance(left, Atom) else (right, left)
-        if isinstance(qubit, Atom):
-            raise NonDenotableSequent(
-                "@ with both parties collapsed has no entangled reading")
-        # the collapsed branch: partner polarity matches the outcome
-        bits = (0 if lit.negated else 1, 0 if lit.negated else 1)
+        # the phi reading d0 |00> + d1 |11>: a collapsed party fixes the
+        # branch, else the degreed party (or the even pair) weights it
+        left, right = f.left, f.right
+        if isinstance(left, Atom) and isinstance(right, Atom):
+            raise NonDenotableSequent("@ with both parties collapsed has no entangled reading")
         wires = (left.name, right.name)
-        return basis_state(wires, bits)
-    # both parties are qubits here
-    d0, d1 = _pair(left.degrees if left.degrees is not None else right.degrees, bindings)
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = d0
-    amps[0b11] = d1
-    return QState((left.name, right.name), amps)
+        party = (right if isinstance(right, Atom)
+                 or (isinstance(left, Qubit) and left.degrees is None) else left)
+        amps = np.zeros(4, dtype=complex)
+        amps[0b00], amps[0b11] = _pair(qubit_amplitudes(party), bindings)
+        if wires[0] == wires[1]:
+            raise WireMismatch(f"duplicate wire names in {wires}")
+        return wires, amps
+    raise NonDenotableSequent(f"no denotation for {formula_str(f)}")
 
 
 def denote_assertion(s: Sequent, bindings: Optional[Dict[str, complex]] = None) -> QState:
@@ -324,7 +309,7 @@ def denote_assertion(s: Sequent, bindings: Optional[Dict[str, complex]] = None) 
         raise NonDenotableSequent(
             "the empty consequent is the falsehood reading, not a state")
     check_bindings(bindings)
-    wires, amps = _product(denote_formula(f, bindings) for f in s.consequent)
+    wires, amps = _product(_denote(f, bindings) for f in s.consequent)
     if s.degree is not None:
         amps = resolve_degree(s.degree, bindings) * amps
     return QState(wires, amps)

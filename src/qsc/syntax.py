@@ -183,7 +183,7 @@ def party_wire(f: Formula) -> Optional[str]:
     return None
 
 
-def _qubit_amplitudes(f: Formula) -> Optional[DegreePair]:
+def qubit_amplitudes(f: Formula) -> Optional[DegreePair]:
     """(amp on X^, amp on X) of a single-wire formula, None if not one."""
     if isinstance(f, Atom):
         return (complex(1), complex(0)) if f.negated else (complex(0), complex(1))
@@ -248,7 +248,7 @@ def normalize(f: Formula) -> Formula:
             return And(left, right, degrees)
         lw, rw = party_wire(left), party_wire(right)
         if lw is not None and lw == rw:
-            la, ra = _qubit_amplitudes(left), _qubit_amplitudes(right)
+            la, ra = qubit_amplitudes(left), qubit_amplitudes(right)
             dl, dr = degrees if degrees is not None else EVEN_DEGREES
             parts = (dl, dr) + la + ra
             if all(is_concrete(d) for d in parts):

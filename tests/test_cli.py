@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -17,7 +20,8 @@ from qsc.render import MAX_ASCII_BYTES, render
 from qsc.semantics import MAX_WIRES
 
 DATA = pathlib.Path(__file__).parent / "data"
-CORPUS = pathlib.Path(__file__).parents[1] / "src" / "qsc" / "corpus"
+SRC = pathlib.Path(__file__).parents[1] / "src"
+CORPUS = SRC / "qsc" / "corpus"
 
 
 def run(*argv):
@@ -91,6 +95,30 @@ class TestVerify:
         assert run("check", str(script))[0] == 0
         code, out, _ = run("verify", str(script), "--format", "machine")
         assert code == 0 and "verify\tt:2\tqsplit\tstate\t0.000e+00" in out
+
+    def test_a_wire_the_conclusion_normalized_away_is_dropped(self, tmp_path):
+        # Y &{1, -1} Y cancels to 0, so the projection on X also drops Y
+        script = tmp_path / "dropped.qsc"
+        script.write_text("atoms X Y\ntheorem t:\n  1: |- Q_X, Y &{1, -1} Y premise\n"
+                          "  2: |- X, 0 by qsplit[pos](1)\nqed\n")
+        assert run("check", str(script))[0] == 0
+        code, out, _ = run("verify", str(script), "--format", "machine")
+        assert code == 0 and "verify\tt:2\tqsplit\tstate\t0.000e+00" in out
+
+    def test_an_overlap_names_its_wires_sorted_under_any_hash_seed(self, tmp_path):
+        script = tmp_path / "overlap.qsc"
+        script.write_text("atoms A B\ntheorem t:\n  1: A, B |- A # B premise\n"
+                          "  2: |- A^, B^, A # B by negform(1)\nqed\n")
+        argv = ["verify", "--format", "machine", str(script)]
+        code, out, _ = run(*argv)
+        assert code == 1
+        assert "\tWireMismatch: overlapping wires {'A', 'B'}\n" in out
+        for seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-m", "qsc.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert (done.returncode, done.stdout) == (1, out), seed
 
     def test_psi_formation_fails_the_check(self, tmp_path):
         script = tmp_path / "psi.qsc"

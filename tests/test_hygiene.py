@@ -1,9 +1,12 @@
-"""Source hygiene of ``src/qsc``: no unused imports, no unused parameters.
+"""Source hygiene of ``src/qsc``: no unused imports, no unused parameters,
+no dead definitions.
 
 Each module but ``__init__.py`` (which imports to re-export) is read as an
 AST.  The one allowed unused import is a name ``bench/tracing.py`` wraps in
 that module, since the tracer can only rebind a name the module binds:
 ``qsc.corpus.check_derivation`` and ``qsc.semantics.normalize`` today.
+Every top-level function and class is read outside its own body, in
+``src/qsc``, ``tests``, ``bench`` or ``demos``.
 """
 
 from __future__ import annotations
@@ -15,14 +18,28 @@ import pytest
 
 from test_tracing_contract import load_tracing
 
-SRC = pathlib.Path(__file__).parents[1] / "src" / "qsc"
+ROOT = pathlib.Path(__file__).parents[1]
+SRC = ROOT / "src" / "qsc"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "bench").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def read_names(tree: ast.AST) -> set:
     """Every name the tree loads, by itself or as the root of an attribute."""
     return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def references(tree: ast.AST) -> set:
+    """Every name the tree loads, reads as an attribute or imports from a module."""
+    names = read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -60,3 +77,14 @@ def test_no_module_imports_a_name_it_never_reads(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_function_has_a_parameter_it_never_reads(path):
     assert unused_parameters(ast.parse(path.read_text())) == []
+
+
+def test_every_top_level_definition_is_read_somewhere():
+    statements = [(path, statement) for path in READERS
+                  for statement in ast.parse(path.read_text()).body]
+    read = [(statement, references(statement)) for _, statement in statements]
+    unread = [f"{path.name}:{node.name}" for path, node in statements
+              if path.parent == SRC
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not any(node.name in names for other, names in read if other is not node)]
+    assert unread == []

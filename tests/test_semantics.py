@@ -349,8 +349,9 @@ def reference_apply(matrix, wires, state):
 
 
 def reference_tensor(a, b):
-    if set(a.wires) & set(b.wires):
-        raise WireMismatch(f"overlapping wires {set(a.wires) & set(b.wires)}")
+    shared = sorted(set(a.wires) & set(b.wires))
+    if shared:
+        raise WireMismatch(f"overlapping wires {{{', '.join(map(repr, shared))}}}")
     n = len(a.wires) + len(b.wires)
     if n > MAX_WIRES:
         raise WireMismatch(f"{n} wires exceed the cap of {MAX_WIRES}")
