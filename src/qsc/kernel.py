@@ -263,52 +263,37 @@ def check_parform(premise: Sequent, conclusion: Sequent,
 
 
 # ---------------------------------------------------------------------------
-# Negation moves, read permissively: the whole antecedent crosses the
-# turnstile, and only the atoms named in the rule parameters are negated on
-# the way (bystanders pass through unchanged).
+# Negation moves, read permissively: one whole side crosses the turnstile,
+# and only the atoms named in the rule parameters are negated on the way
+# (bystanders pass through unchanged).  Formation moves the antecedent to
+# the front of the consequent; reflection moves the whole consequent of an
+# assertion to the antecedent.
 
-def _neg_move(formulas: Sequence[Formula], names) -> Optional[Tuple[Formula, ...]]:
-    out = []
-    for f in formulas:
-        lit = _literal(f)
-        if lit is None:
-            return None
-        out.append(negate(lit) if lit.name in names else lit)
-    return tuple(out)
-
-
-def _neg_params(params: Tuple[Param, ...], formulas: Sequence[Formula]):
-    if params:
-        return frozenset(str(p) for p in params)
-    return frozenset(f.name for f in formulas if isinstance(f, Atom))
+def _check_negation(premise: Sequent, conclusion: Sequent,
+                    params: Tuple[Param, ...], reflection: bool) -> Verdict:
+    crossing = premise.consequent if reflection else premise.antecedent
+    if not crossing or (reflection and premise.antecedent):
+        return _fail("SchemaMismatch",
+                     "negation reflection moves the consequent across" if reflection
+                     else "negation formation moves antecedent formulas")
+    if premise.degree is not None or conclusion.degree is not None:
+        return _fail("SchemaMismatch", "negation moves are undegreed")
+    if not all(isinstance(f, Atom) for f in crossing):
+        return _fail("SchemaMismatch", "only atoms can cross the turnstile")
+    names = {str(p) for p in params} if params else {f.name for f in crossing}
+    moved = tuple(negate(f) if f.name in names else f for f in crossing)
+    expected = Sequent(moved, ()) if reflection else Sequent((), moved + premise.consequent)
+    return _conclusion_check(conclusion, expected, code="SchemaMismatch")
 
 
 def check_negform(premise: Sequent, conclusion: Sequent,
                   params: Tuple[Param, ...]) -> Verdict:
-    if not premise.antecedent:
-        return _fail("SchemaMismatch", "negation formation moves antecedent formulas")
-    if premise.degree is not None or conclusion.degree is not None:
-        return _fail("SchemaMismatch", "negation moves are undegreed")
-    names = _neg_params(params, premise.antecedent)
-    moved = _neg_move(premise.antecedent, names)
-    if moved is None:
-        return _fail("SchemaMismatch", "only atoms can cross the turnstile")
-    expected = Sequent((), moved + premise.consequent)
-    return _conclusion_check(conclusion, expected, code="SchemaMismatch")
+    return _check_negation(premise, conclusion, params, reflection=False)
 
 
 def check_negrefl(premise: Sequent, conclusion: Sequent,
                   params: Tuple[Param, ...]) -> Verdict:
-    if premise.antecedent or not premise.consequent:
-        return _fail("SchemaMismatch", "negation reflection moves the consequent across")
-    if premise.degree is not None or conclusion.degree is not None:
-        return _fail("SchemaMismatch", "negation moves are undegreed")
-    names = _neg_params(params, premise.consequent)
-    moved = _neg_move(premise.consequent, names)
-    if moved is None:
-        return _fail("SchemaMismatch", "only atoms can cross the turnstile")
-    expected = Sequent(moved, ())
-    return _conclusion_check(conclusion, expected, code="SchemaMismatch")
+    return _check_negation(premise, conclusion, params, reflection=True)
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +646,11 @@ def check_cnot(premise: Sequent, conclusion: Sequent,
 
 # ---------------------------------------------------------------------------
 # The EPR meta-rule, a macro over collapse-cut, semi-distributivity and
-# par formation; each sub-step is re-checked with the same code paths as
-# the named rules.
+# par formation.  The collapse and the par are built here, as the cut and
+# parform schemas would build them; only semi-distributivity, which fails
+# when the other party is already a literal, is checked as its own rule.
 
-def check_epr(left: Sequent, right: Sequent, conclusion: Sequent,
-              mode: LogicMode) -> Verdict:
+def check_epr(left: Sequent, right: Sequent, conclusion: Sequent) -> Verdict:
     measured = _measured(right)
     single = measured is not None and len(measured[0]) == 1 and len(left.consequent) == 1
     consequent = _collapse(left, *measured) if single else None
@@ -676,18 +661,11 @@ def check_epr(left: Sequent, right: Sequent, conclusion: Sequent,
     outcome, (collapsed,) = measured[1], consequent
     partner = Atom(party_wire(collapsed.right if isinstance(collapsed.left, Atom)
                               else collapsed.left), outcome.negated)
-    mid1 = Sequent(left.antecedent, consequent, right.degree)
-    mid2 = Sequent(left.antecedent, (outcome, partner), right.degree)
-    final = Sequent(left.antecedent, (Par(outcome, partner),), right.degree)
-    sub = check_cut(left, right, mid1, mode, ())
-    if not sub.ok:
-        return _fail(sub.code, f"collapse step: {sub.message}")
-    sub = check_semidistrib(mid1, mid2)
+    mid = Sequent(left.antecedent, (outcome, partner), right.degree)
+    sub = check_semidistrib(Sequent(left.antecedent, consequent, right.degree), mid)
     if not sub.ok:
         return _fail(sub.code, f"semi-distributivity step: {sub.message}")
-    sub = check_parform(mid2, final, ())
-    if not sub.ok:
-        return _fail(sub.code, f"par formation step: {sub.message}")
+    final = Sequent(left.antecedent, (Par(outcome, partner),), right.degree)
     return _conclusion_check(conclusion, final, action=_measurement(measured))
 
 
@@ -735,7 +713,7 @@ _RULE_TABLE = {
     "hrule": (1, 1, lambda n, ps, mode: check_hrule(ps[0], n.conclusion)),
     "hinverse": (1, 1, lambda n, ps, mode: check_hinverse(ps[0], n.conclusion)),
     "cnot": (1, 1, lambda n, ps, mode: check_cnot(ps[0], n.conclusion, n.params)),
-    "epr": (2, 2, lambda n, ps, mode: check_epr(ps[0], ps[1], n.conclusion, mode)),
+    "epr": (2, 2, lambda n, ps, mode: check_epr(ps[0], ps[1], n.conclusion)),
     "parallel": (2, 2, lambda n, ps, mode: check_parallel(ps, n.conclusion, n.params)),
 }
 

@@ -90,6 +90,10 @@ class DuplicateStepId(ScriptError):
     pass
 
 
+class UnusedStep(ScriptError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -462,6 +466,12 @@ def _parse_theorem(p: _Parser) -> Theorem:
     p.expect("qed")
     if not steps:
         raise ScriptSyntaxError(f"theorem {name_tok.text!r} has no steps", name_tok.span)
+    # references point backwards, so every step a later one uses reaches the last
+    used = {ref for step in steps for ref in step.refs}
+    for step in steps[:-1]:
+        if step.step_id not in used:
+            raise UnusedStep(f"step {step.step_id} is used by no later step, so theorem "
+                             f"{name_tok.text!r} would drop it", step.span)
     return Theorem(name_tok.text, steps, nodes[steps[-1].step_id], labels)
 
 

@@ -283,23 +283,14 @@ def equivalent(f: Formula, g: Formula) -> bool:
     return formula_eq(normalize(f), normalize(g))
 
 
-def sequent_eq(s: Sequent, t: Sequent) -> bool:
-    """Positional equality of two sequents, formulas compared structurally."""
+def sequent_equivalent(s: Sequent, t: Sequent) -> bool:
+    """True iff the degrees agree and the normal forms of the formulas are
+    structurally identical, position by position."""
     return (len(s.antecedent) == len(t.antecedent)
             and len(s.consequent) == len(t.consequent)
             and degree_eq(s.degree, t.degree)
-            and all(formula_eq(a, b) for a, b in zip(s.antecedent, t.antecedent))
-            and all(formula_eq(a, b) for a, b in zip(s.consequent, t.consequent)))
-
-
-def normalize_sequent(s: Sequent) -> Sequent:
-    return Sequent(tuple(normalize(f) for f in s.antecedent),
-                   tuple(normalize(f) for f in s.consequent),
-                   s.degree)
-
-
-def sequent_equivalent(s: Sequent, t: Sequent) -> bool:
-    return sequent_eq(normalize_sequent(s), normalize_sequent(t))
+            and all(map(equivalent, s.antecedent, t.antecedent))
+            and all(map(equivalent, s.consequent, t.consequent)))
 
 
 def formula_wires(f: Formula) -> Tuple[str, ...]:

@@ -45,6 +45,16 @@ class TestCheck:
         assert code == 2 and "ScriptSyntaxError" in err
 
     @pytest.mark.parametrize("command", ["check", "verify", "render"])
+    def test_a_step_the_goal_does_not_use_is_an_input_error(self, tmp_path, command):
+        script = tmp_path / "unused.qsc"
+        script.write_text("atoms A B\ntheorem t:\n  1: |- A premise\n"
+                          "  2: |- B^, A, A by hrule(1)\n  3: |- A^ premise\nqed\n")
+        code, out, err = run(command, str(script))
+        assert (code, out) == (2, "")
+        assert err == (f"{script}:4:3: UnusedStep: step 2 is used by no later step, "
+                       "so theorem 't' would drop it\n")
+
+    @pytest.mark.parametrize("command", ["check", "verify", "render"])
     def test_missing_file(self, command):
         code, out, err = run(command, "no-such-file.qsc")
         assert code == 2 and out == ""

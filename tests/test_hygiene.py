@@ -1,12 +1,13 @@
 """Source hygiene of ``src/qsc``: no unused imports, no unused parameters,
-no dead definitions.
+no dead definitions, and a check path that stays free of numpy.
 
 Each module but ``__init__.py`` (which imports to re-export) is read as an
 AST.  The one allowed unused import is a name ``bench/tracing.py`` wraps in
 that module, since the tracer can only rebind a name the module binds:
 ``qsc.corpus.check_derivation`` and ``qsc.semantics.normalize`` today.
 Every top-level function and class is read outside its own body, in
-``src/qsc``, ``tests``, ``bench`` or ``demos``.
+``src/qsc``, ``tests``, ``bench`` or ``demos``.  The modules that parse,
+check and render a script import neither numpy nor the modules that need it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from test_tracing_contract import load_tracing
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = ROOT / "src" / "qsc"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+# the modules ``qsc check`` and ``qsc render`` need, and what they may not import
+CHECK_PATH = ("syntax", "parser", "kernel", "render")
+NOT_ON_CHECK_PATH = ("numpy", "qsc.semantics", "qsc.corpus", "qsc.cli")
 READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
                   *(ROOT / "bench").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
 
@@ -88,3 +92,26 @@ def test_every_top_level_definition_is_read_somewhere():
               and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not any(node.name in names for other, names in read if other is not node)]
     assert unread == []
+
+
+def imported_modules(tree: ast.Module) -> set:
+    """Absolute names of the modules the tree imports; ``from m import n``
+    counts ``m`` and ``m.n``, since ``n`` may be a module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = ".".join(filter(None, ("qsc" if node.level else "", node.module)))
+            modules.add(base)
+            modules.update(f"{base}.{alias.name}" for alias in node.names)
+    return modules
+
+
+@pytest.mark.parametrize("name", CHECK_PATH)
+def test_the_check_path_imports_no_numpy(name):
+    modules = imported_modules(ast.parse((SRC / f"{name}.py").read_text()))
+    assert sorted(m for m in modules for banned in NOT_ON_CHECK_PATH
+                  if m == banned or m.startswith(f"{banned}.")) == []
+    # its own qsc imports stay on the check path, so the guard covers them too
+    assert {m.split(".")[1] for m in modules if m.startswith("qsc.")} <= set(CHECK_PATH)

@@ -148,6 +148,14 @@ class TestAnd:
         v = check_andrefl(sq("A^ |- A^"), sq("Q_A |- A^"), BASIC)
         assert v.ok
 
+    def test_reflection_of_a_degreed_premise_is_refused(self):
+        script = parse_script("atoms A\ntheorem t:\n  1: A |-{0.5} A premise\n"
+                              "  2: Q_A |- A by andrefl(1)\nqed\n")
+        report = check_derivation(script.theorems[0].derivation, BASIC, script_labels(script))
+        assert [(e.path, e.verdict.code, e.verdict.message) for e in report.entries] == [
+            ("t:1", "ok", "hypothesis"),
+            ("t:2", "SchemaMismatch", "conjunction reflection is undegreed")]
+
     def test_formation_context_mismatch(self):
         v = check_andform((sq("X |- A^"), sq("Y |- A")), sq("X |- A^ & A"))
         assert not v.ok and v.code == "ContextMismatch"
@@ -362,15 +370,15 @@ class TestNeg:
 
 class TestEpr:
     def test_macro_positive_branch(self):
-        v = check_epr(sq("|- Q_A @ Q_B"), sq("Q_A |- A"), sq("|- A # B"), BASIC)
+        v = check_epr(sq("|- Q_A @ Q_B"), sq("Q_A |- A"), sq("|- A # B"))
         assert v.ok
 
     def test_macro_negative_branch(self):
-        v = check_epr(sq("|- Q_A @ Q_B"), sq("Q_A |- A^"), sq("|- A^ # B^"), BASIC)
+        v = check_epr(sq("|- Q_A @ Q_B"), sq("Q_A |- A^"), sq("|- A^ # B^"))
         assert v.ok
 
     def test_separable_premise_rejected(self):
-        v = check_epr(sq("|- Q_A, Q_B"), sq("Q_A |- A"), sq("|- A # B"), BASIC)
+        v = check_epr(sq("|- Q_A, Q_B"), sq("Q_A |- A"), sq("|- A # B"))
         assert not v.ok and v.code == "SchemaMismatch"
 
     def test_macro_verdict_equals_hand_expansion(self):
@@ -440,8 +448,8 @@ MEASUREMENTS = [
 
 @pytest.mark.parametrize("rule, left, right, conclusion, expected", MEASUREMENTS)
 def test_measurement_verdicts(rule, left, right, conclusion, expected):
-    args = (sq(left), sq(right), sq(conclusion), BASIC)
-    v = check_cut(*args, ()) if rule == "cut" else check_epr(*args)
+    args = (sq(left), sq(right), sq(conclusion))
+    v = check_cut(*args, BASIC, ()) if rule == "cut" else check_epr(*args)
     assert (v.ok, v.code, v.message, v.action) == expected
 
 

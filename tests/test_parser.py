@@ -22,6 +22,7 @@ from qsc.parser import (
     SourceSpan,
     UnknownAtom,
     UnknownRule,
+    UnusedStep,
     parse_formula,
     parse_script,
     parse_sequent,
@@ -41,6 +42,15 @@ from qsc.syntax import (
 
 A, A_ = Atom("A"), Atom("A", True)
 B, B_ = Atom("B"), Atom("B", True)
+
+# Step 2 is referenced by no later step, so the theorem (the tree under
+# step 3) would drop steps 1 and 2 without a word.
+UNUSED_STEP_SCRIPT = ("atoms A B\n"
+                      "theorem t:\n"
+                      "  1: |- A premise\n"
+                      "  2: |- B^, A, A by hrule(1)\n"
+                      "  3: |- A^ premise\n"
+                      "qed\n")
 
 
 class TestParseFormula:
@@ -204,6 +214,30 @@ class TestParseScript:
                 parse_script(text)
             span = exc.value.span
             assert span.line >= 1 and span.column >= 1
+
+    # the parse, its error class and its "line:column: message"
+    @pytest.mark.parametrize("parse, text, error, expected", [
+        (parse_script, "atoms A\ntheorem t:\n  1: |- Q_ premise\nqed\n",
+         ScriptSyntaxError, "3:9: missing wire name after 'Q_'"),
+        (parse_script, "atoms A\ntheorem t:\nqed\n",
+         ScriptSyntaxError, "2:9: theorem 't' has no steps"),
+        (parse_script, "atoms A\n",
+         ScriptSyntaxError, "2:1: a script must contain at least one theorem"),
+        (parse_script, UNUSED_STEP_SCRIPT,
+         UnusedStep, "4:3: step 2 is used by no later step, so theorem 't' would drop it"),
+        (parse_formula, "A B", ScriptSyntaxError, "1:3: trailing input 'B' after formula"),
+        (parse_sequent, "|- A )", ScriptSyntaxError, "1:6: trailing input ')' after sequent"),
+    ], ids=["empty-wire-name", "no-steps", "no-theorem", "unused-step",
+            "formula-trailer", "sequent-trailer"])
+    def test_errors_name_their_class_and_place(self, parse, text, error, expected):
+        with pytest.raises(ScriptError) as exc:
+            parse(text)
+        assert (type(exc.value), str(exc.value)) == (error, expected)
+
+    def test_an_unknown_theorem_name_is_a_key_error(self):
+        script = parse_script("atoms A\ntheorem t:\n  1: |- A premise\nqed\n")
+        with pytest.raises(KeyError):
+            script.theorem("u")
 
 
 class TestRender:

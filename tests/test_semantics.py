@@ -91,6 +91,16 @@ class TestDenoteAssertion:
         v = denote("|- Q_C{alpha, beta} @ Q_B", BINDINGS).vector()
         assert np.allclose(v, [0.6, 0, 0, 0.8])
 
+    def test_degrees_on_the_right_party_weight_the_pair(self):
+        s = denote("|- Q_A @ Q_B{0.6, 0.8}")
+        assert s.wires == ("A", "B")
+        assert np.allclose(s.vector(), [0.6, 0, 0, 0.8])
+
+    def test_a_zero_branch_on_other_wires_cannot_align(self):
+        with pytest.raises(WireMismatch) as exc:
+            denote("|- A & Q_B{0, 0}")
+        assert str(exc.value) == "cannot align ('B',) to ('A',)"
+
     def test_null_cancellation(self):
         v = denote("|- A &{0.7071067811865476, -0.7071067811865476} A").vector()
         assert np.allclose(v, [0, 0])
@@ -124,6 +134,16 @@ class TestOperators:
         inp = tensor(state("B", [S, S]), state("A", [1, 0]))
         out = apply(CNOT_MATRIX, ("B", "A"), inp)
         assert np.array_equal(out.vector(), [S, 0, 0, S])
+
+    @pytest.mark.parametrize("wires, amps, message", [
+        (("A",), [1, 0, 0], "3 amplitudes for 1 wires"),
+        (("A", "A"), [1, 0, 0, 0], "duplicate wire names in ('A', 'A')"),
+    ], ids=["amplitude-count", "repeated-wire"])
+    def test_a_state_has_one_amplitude_per_basis_state_and_distinct_wires(
+            self, wires, amps, message):
+        with pytest.raises(WireMismatch) as exc:
+            state(wires, amps)
+        assert str(exc.value) == message
 
     def test_wire_mismatch(self):
         # a wire the state lacks, and a two-wire matrix on one wire
@@ -201,6 +221,14 @@ class TestFidelityAndEntropy:
         product = state("AB", [0.5, 0.5, 0.5, 0.5])
         assert entanglement_entropy(product, "A") <= 1e-12
 
+    @pytest.mark.parametrize("amps, wire, error", [
+        ([S, 0, 0, S], "C", WireMismatch),
+        ([0, 0, 0, 0], "A", ZeroState),
+    ], ids=["unknown-wire", "zero-state"])
+    def test_entropy_needs_a_wire_of_a_nonzero_state(self, amps, wire, error):
+        with pytest.raises(error):
+            entanglement_entropy(state("AB", amps), wire)
+
 
 # ---------------------------------------------------------------------------
 # Algebraic identities at the denotation level
@@ -216,6 +244,9 @@ class TestSemanticIdentities:
         ab = denote("|- Q_A @ Q_B")
         ba = denote("|- Q_B @ Q_A")
         assert abs(fidelity(ab, ba) - 1.0) <= 1e-12
+
+    def test_residual_compares_across_wire_orders(self):
+        assert residual(denote("|- A, B^"), denote("|- B^, A")) == 0.0
 
     def test_mixed_form_equals_pair_assertion(self):
         assert residual(denote("|- A @ Q_B"), denote("|- A, B")) <= 1e-12

@@ -7,6 +7,7 @@ from hypothesis import given
 
 import conftest as gen
 from qsc.syntax import (
+    ALPHA,
     NULL,
     SQRT1_2,
     And,
@@ -15,10 +16,14 @@ from qsc.syntax import (
     NonAtomicNegation,
     Par,
     Qubit,
+    Sequent,
+    SymDegree,
+    degree_str,
     equivalent,
     formula_eq,
     negate,
     normalize,
+    sequent_equivalent,
 )
 
 A = Atom("A")
@@ -80,6 +85,9 @@ class TestNormalize:
     def test_ent_operands_ordered_by_wire(self):
         assert normalize(Ent(Qubit("B"), Qubit("A"))) == Ent(Qubit("A"), Qubit("B"))
 
+    def test_a_qubit_with_zero_degrees_is_null(self):
+        assert normalize(Qubit("A", (0, 0))) is NULL
+
     def test_symmetric_degrees_canonicalized(self):
         assert normalize(Qubit("A", (S, S))) == Qubit("A")
 
@@ -117,3 +125,36 @@ class TestEquivalent:
     def test_transitive(self, f, g, h):
         if equivalent(f, g) and equivalent(g, h):
             assert equivalent(f, h)
+
+
+class TestSequentEquivalent:
+    @pytest.mark.parametrize("s, t, same", [
+        (Sequent((), (Ent(Qubit("B"), Qubit("A")), A)),
+         Sequent((), (Ent(Qubit("A"), Qubit("B")), A)), True),
+        (Sequent((And(A, A_),), (A,)), Sequent((Qubit("A"),), (A,)), True),
+        (Sequent((), (A, B)), Sequent((), (B, A)), False),
+        (Sequent((A,), (B,)), Sequent((B,), (B,)), False),
+        (Sequent((), (A,)), Sequent((), (A, B)), False),
+        (Sequent((A,), ()), Sequent((), (A,)), False),
+        (Sequent((), (A,), 0.5 + 0j), Sequent((), (A,), 0.5 + 1e-12j), True),
+        (Sequent((), (A,), 0.5 + 0j), Sequent((), (A,)), False),
+        (Sequent((), (A,), ALPHA), Sequent((), (A,), SymDegree("beta")), False),
+    ], ids=["normal-forms", "antecedent-normal-forms", "positions", "antecedents", "lengths",
+            "sides", "degree-tolerance", "degree-absent", "symbolic-degrees"])
+    def test_compares_normal_forms_position_by_position(self, s, t, same):
+        assert sequent_equivalent(s, t) is same
+        assert sequent_equivalent(t, s) is same
+
+
+@pytest.mark.parametrize("degree, text", [(2j, "2.0i"), (1 - 2j, "1.0-2.0i")])
+def test_degree_str_of_complex_degrees(degree, text):
+    assert degree_str(degree) == text
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SymDegree("gamma"),
+    lambda: Ent(And(A, B), Qubit("C")),
+], ids=["unreserved-symbol", "ent-with-a-conjunction-party"])
+def test_malformed_constructions_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
