@@ -2,15 +2,15 @@
 
 Two styles: ``linear`` emits the numbered-step script form (and parses back
 to an equal tree); ``ascii`` draws the two-dimensional layout with premises
-stacked over horizontal inference bars labeled by rule.
+stacked over horizontal inference bars, each rule label hanging to the right
+of its bar.  A chain's drawing is as wide at every depth.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple
 
-from .kernel import Derivation, last_parents, postorder
+from .kernel import Derivation, postorder
 from .syntax import Formula, formula_str, formula_wires, sequent_str
 
 _DISPLAY = {
@@ -84,10 +84,14 @@ def render_linear(tree: Derivation) -> str:
 
 # ---------------------------------------------------------------------------
 # ASCII style.  A node's block is its premises' blocks side by side over a
-# bar labeled by rule, its conclusion centered under the bar.  Until the end
-# a block is three lists, one entry per row: the row's shift (its leading
-# spaces), its length past the shift, and its ``(column, text)`` pieces with
-# columns counted from the shift.  Centering a row changes only its shift.
+# bar labeled by rule, its conclusion centered under the bar.  A block's
+# body is the columns its bar spans (a leaf's, its conclusion); its overhang
+# is the `` label`` after the bar, or a leaf's ``   [label]``.  A bar spans
+# its premises' bodies and the gaps between them, so no label widens a bar
+# below it.  Side-by-side premises sit 4 columns past the full extent of the
+# block on their left, overhang included, and the premises as one unit and
+# the conclusion are each centered under the bar.  One pass sizes each
+# distinct node's block; one more puts each drawn row piece at its column.
 
 MAX_ASCII_BYTES = 16 * 2**20
 
@@ -100,75 +104,63 @@ class RenderTooLarge(Exception):
         self.lines, self.columns = lines, columns
 
 
-def _layout(tree: Derivation) -> Tuple[list, Dict[int, Tuple[int, int]]]:
-    """Distinct nodes in post-order with conclusion and label; exact block sizes."""
-    nodes = []
-    size: Dict[int, Tuple[int, int]] = {}
+class _Block(NamedTuple):
+    height: int
+    body: int
+    width: int                  # the body and the overhang
+    offsets: List[int]          # each premise's column
+    shift: int                  # the conclusion's column
+    conclusion: str             # a leaf's whole line
+    bar: str                    # a leaf's is empty
+
+
+def _layout(tree: Derivation) -> Dict[int, _Block]:
+    """Each distinct node's block, columns counted from its left edge."""
+    blocks: Dict[int, _Block] = {}
     for node, _ in postorder(tree):
         conclusion, label = sequent_str(node.conclusion), rule_label(node)
-        if node.premises:
-            sizes = [size[id(p)] for p in node.premises]
-            stack = sum([w for _, w in sizes]) + 4 * (len(sizes) - 1)
-            size[id(node)] = (max(sizes)[0] + 2, max(stack, len(conclusion)) + 1 + len(label))
-        else:
-            size[id(node)] = (1, len(conclusion) + 5 + len(label))
-        nodes.append((node, conclusion, label))
-    return nodes, size
-
-
-def _stack(blocks: List[tuple], sizes: List[Tuple[int, int]]) -> tuple:
-    """Two or more premise blocks side by side, 4 columns apart, bottom-aligned."""
-    heights = [h for h, _ in sizes]
-    height, tallest = max(heights), heights.index(max(heights))
-    offsets = list(accumulate((w + 4 for _, w in sizes), initial=0))
-    # above the second tallest block, the rows are the tallest one's, moved
-    alone = height - sorted(heights)[-2]
-    shifts, lengths, pieces = blocks[tallest]
-    shifts = [s + offsets[tallest] for s in shifts[:alone]]
-    lengths, pieces = lengths[:alone], pieces[:alone]
-    # below, two or more blocks meet and their pieces join
-    for r in range(alone, height):
-        meet = [(off + b[0][i], b[1][i], b[2][i])
-                for b, h, off in zip(blocks, heights, offsets) if (i := r - height + h) >= 0]
-        base = meet[0][0]
-        shifts.append(base)
-        lengths.append(meet[-1][0] + meet[-1][1] - base)
-        pieces.append([(s - base + col, text) for s, _, row in meet for col, text in row])
-    return shifts, lengths, pieces
+        if not node.premises:
+            line = f"{conclusion}   [{label}]"
+            blocks[id(node)] = _Block(1, len(conclusion), len(line), [], 0, line, "")
+            continue
+        above = [blocks[id(p)] for p in node.premises]
+        offsets = [0]
+        for b in above[:-1]:
+            offsets.append(offsets[-1] + b.width + 4)
+        span = offsets[-1] + above[-1].body
+        body = max(span, len(conclusion))
+        shift = (body - span) // 2
+        blocks[id(node)] = _Block(
+            max([b.height for b in above]) + 2, body,
+            max(body + 1 + len(label), shift + offsets[-1] + above[-1].width),
+            [shift + o for o in offsets], (body - len(conclusion)) // 2,
+            conclusion, "-" * body + f" {label}")
+    return blocks
 
 
 def render_ascii(tree: Derivation) -> str:
     """The two-dimensional drawing; ``RenderTooLarge`` past ``MAX_ASCII_BYTES``."""
-    nodes, size = _layout(tree)
-    height, width = size[id(tree)]
-    if height * (width + 1) > MAX_ASCII_BYTES:
-        raise RenderTooLarge(height, width)
-    # a shared premise is drawn under each parent; its block goes after the last
-    last_parent = last_parents(node for node, _, _ in nodes)
-    blocks: Dict[int, tuple] = {}
-    for node, conclusion, label in nodes:
-        if not node.premises:
-            line = f"{conclusion}   [{label}]"
-            blocks[id(node)] = ([0], [len(line)], [((0, line),)])
-            continue
-        above = [blocks[id(p)] for p in node.premises]
-        shifts, lengths, pieces = (above[0] if len(above) == 1 else
-                                   _stack(above, [size[id(p)] for p in node.premises]))
-        inner = size[id(node)][1] - 1 - len(label)
-        bar = "-" * inner + f" {label}"
-        blocks[id(node)] = ([(inner + s - n) // 2 for s, n in zip(shifts, lengths)]
-                            + [0, (inner - len(conclusion)) // 2],
-                            lengths + [len(bar), len(conclusion)],
-                            pieces + [((0, bar),), ((0, conclusion),)])
-        for p in node.premises:
-            if last_parent[id(p)] is node:
-                blocks.pop(id(p), None)
-    shifts, _, pieces = blocks[id(tree)]
-    parts: List[str] = []
-    for shift, row in zip(shifts, pieces):
-        at = -shift
-        for col, text in row:
-            parts += (" " * (col - at), text)
-            at = col + len(text)
-        parts.append("\n")
-    return "".join(parts)
+    blocks = _layout(tree)
+    root = blocks[id(tree)]
+    height = root.height
+    if height * (root.width + 1) > MAX_ASCII_BYTES:
+        raise RenderTooLarge(height, root.width)
+    # Each drawn occurrence (a shared premise is drawn under each parent)
+    # puts its rows' texts at absolute columns.  Left subtrees go first, so
+    # each row's pieces come left to right and are padded as they come.
+    rows: List[List[str]] = [[] for _ in range(height)]
+    ends = [0] * height
+    todo = [(tree, 0, height - 1)]
+    while todo:
+        node, column, row = todo.pop()
+        _, _, _, offsets, shift, conclusion, bar = blocks[id(node)]
+        start = column + shift
+        rows[row] += (" " * (start - ends[row]), conclusion)
+        ends[row] = start + len(conclusion)
+        if bar:
+            row -= 1
+            rows[row] += (" " * (column - ends[row]), bar)
+            ends[row] = column + len(bar)
+            for p, o in zip(reversed(node.premises), reversed(offsets)):
+                todo.append((p, column + o, row - 1))
+    return "".join(["".join(row) + "\n" for row in rows])

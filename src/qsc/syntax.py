@@ -69,7 +69,8 @@ def degree_eq(a: Optional[Degree], b: Optional[Degree]) -> bool:
         return a is None and b is None
     if isinstance(a, SymDegree) or isinstance(b, SymDegree):
         return isinstance(a, SymDegree) and isinstance(b, SymDegree) and a.name == b.name
-    return _negligible(complex(a) - complex(b))
+    # equal first: an infinite degree minus itself is nan, never negligible
+    return a == b or _negligible(complex(a) - complex(b))
 
 
 def degree_pair_eq(a: Optional[DegreePair], b: Optional[DegreePair]) -> bool:

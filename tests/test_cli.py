@@ -219,13 +219,13 @@ class TestRender:
         assert "epr" in target.read_text()
 
     def test_an_ascii_drawing_past_the_bound_is_an_input_error(self, tmp_path):
-        # 43 steps whose shared premises the drawing repeats: about 49 MB
+        # 43 steps whose shared premises the drawing repeats: about 22 MB
         script = tmp_path / "ladder.qsc"
         script.write_text(ladder(14))
         target = tmp_path / "report.txt"
         code, out, err = run("render", str(script), "--out", str(target))
         assert code == 2 and out == "" and not target.exists()
-        assert err == ("error: theorem ladder: ascii drawing of 57 lines x 868317 columns "
+        assert err == ("error: theorem ladder: ascii drawing of 57 lines x 393212 columns "
                        f"is past {MAX_ASCII_BYTES} bytes; use --style linear\n")
         code, out, _ = run("render", str(script), "--style", "linear")
         assert code == 0 and "43: |- Q_A by parallel[and](41, 42)" in out

@@ -77,7 +77,7 @@ def _cli(*argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-# the ascii drawing of 1,200 steps is about 10 MB, within render.MAX_ASCII_BYTES
+# the ascii drawing of 1,200 steps is about 109 kB, within render.MAX_ASCII_BYTES
 @pytest.mark.parametrize("argv", [["check"], ["verify"], ["render", "--style", "linear"],
                                   ["render", "--style", "ascii"]],
                          ids=["check", "verify", "render-linear", "render-ascii"])
@@ -87,6 +87,17 @@ def test_cli_on_a_deep_chain(tmp_path, argv):
     done = _cli(*argv, script)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_cli_draws_a_10000_step_chain_in_ascii(tmp_path):
+    script = tmp_path / "chain.qsc"
+    script.write_text(hadamard_chain(10_000))
+    done = _cli("render", "--style", "ascii", script)
+    assert done.returncode == 0, done.stderr
+    # each theorem's header, its drawing, then a blank line
+    drawings = [d.splitlines()[1:] for d in done.stdout.split("\n\n") if d]
+    assert [len(d) for d in drawings] == [2 * 10_000 + 1]
+    assert drawings[0][-1].strip() == "|- A^"
 
 
 # One premise formula in two shapes, nested parentheses and a flat chain of

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from qsc.kernel import (
@@ -23,11 +25,12 @@ from qsc.kernel import (
     check_negrefl,
     check_node,
     check_parallel,
+    check_parform,
     check_qsplit,
     check_semidistrib,
 )
 from qsc.parser import parse_script, parse_sequent, script_labels
-from qsc.syntax import Atom, Qubit, Sequent
+from qsc.syntax import Atom, Par, Qubit, Sequent
 
 BASIC = LogicMode.BASIC
 INTU = LogicMode.INTUITIONISTIC_LEFT
@@ -345,6 +348,12 @@ class TestStructural:
     def test_cnot_clause_label_checked(self):
         v = check_cnot(sq("|- B, A"), sq("|- B, A^"), ("b",))
         assert not v.ok
+
+    def test_par_of_a_qubit_with_infinite_degrees(self):
+        # the parser refuses such a degree, but a tree built in Python has it
+        q, b = Qubit("A", (math.inf, math.inf)), Atom("B")
+        v = check_parform(Sequent((), (q, b)), Sequent((), (Par(q, b),)), ())
+        assert v.ok and v.action == ("keep",)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""The ascii drawing: the same bytes as the quadratic renderer it replaced,
-and a refusal, before any line is built, of drawings past the byte bound.
+"""The ascii drawing: the same bytes as a plain quadratic renderer of the
+same layout, and a refusal, before any row is built, of drawings past the
+byte bound.
 
-``reference_ascii`` is that earlier renderer, kept verbatim: it re-pads
-every line above a node at every level, so it takes time quadratic in its
-output, but its bytes are the ones the golden files pin.
+``reference_ascii`` draws each block as a list of lines and re-pads every
+line above a node at every level, so it takes time quadratic in its output.
+It states the layout directly: a bar spans its premises' bodies and the
+gaps between them, and a rule label, or a leaf's ``[label]``, hangs past
+the body it follows and widens no bar below.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import random
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -27,31 +30,38 @@ RENDER = importlib.import_module("qsc.render")
 
 
 # ---------------------------------------------------------------------------
-# The reference renderer
+# The reference renderer.  A block is its lines and its body: the width of
+# its bar, or of a leaf's conclusion.
 
-def _stack(blocks: List[List[str]], gap: int = 4) -> List[str]:
-    height = max(len(b) for b in blocks)
-    widths = [max((len(line) for line in b), default=0) for b in blocks]
-    padded = []
-    for b, w in zip(blocks, widths):
-        rows = [" " * w] * (height - len(b)) + [line.ljust(w) for line in b]
-        padded.append(rows)
-    return [(" " * gap).join(row).rstrip() for row in zip(*padded)]
+Block = Tuple[List[str], int]
 
 
-def _center(line: str, width: int) -> str:
-    return " " * ((width - len(line)) // 2) + line
+def _stack(blocks: List[Block], gap: int = 4) -> Block:
+    """Blocks side by side, each ``gap`` columns past the widest line on its
+    left, bottom-aligned; the body runs from the first block's body to the
+    end of the last one's."""
+    height = max(len(lines) for lines, _ in blocks)
+    widths = [max(map(len, lines)) for lines, _ in blocks]
+    padded = [[" " * w] * (height - len(lines)) + [line.ljust(w) for line in lines]
+              for (lines, _), w in zip(blocks, widths)]
+    lines = [(" " * gap).join(row).rstrip() for row in zip(*padded)]
+    return lines, sum(w + gap for w in widths[:-1]) + blocks[-1][1]
 
 
-def _ascii_block(node: Derivation, premise_blocks: List[List[str]]) -> List[str]:
+def _center(line: str, length: int, width: int) -> str:
+    return " " * ((width - length) // 2) + line
+
+
+def _ascii_block(node: Derivation, premise_blocks: List[Block]) -> Block:
     """The node's block, drawn under the blocks of its premises."""
     conclusion = sequent_str(node.conclusion)
     if not node.premises:
-        return [f"{conclusion}   [{rule_label(node)}]"]
-    above = _stack(premise_blocks)
-    width = max(max(map(len, above)), len(conclusion))
+        return [f"{conclusion}   [{rule_label(node)}]"], len(conclusion)
+    above, span = _stack(premise_blocks)
+    width = max(span, len(conclusion))
     bar = "-" * width + f" {rule_label(node)}"
-    return [_center(line, width) for line in above] + [bar, _center(conclusion, width)]
+    return ([_center(line, span, width) for line in above]
+            + [bar, _center(conclusion, len(conclusion), width)], width)
 
 
 def reference_ascii(tree: Derivation) -> str:
@@ -59,13 +69,13 @@ def reference_ascii(tree: Derivation) -> str:
     # only until the last parent that draws it is built.
     nodes = [node for node, _ in postorder(tree)]
     last_parent = {id(p): node for node in nodes for p in node.premises}
-    blocks: Dict[int, List[str]] = {}
+    blocks: Dict[int, Block] = {}
     for node in nodes:
         blocks[id(node)] = _ascii_block(node, [blocks[id(p)] for p in node.premises])
         for p in node.premises:
             if last_parent[id(p)] is node:
                 blocks.pop(id(p), None)
-    return "\n".join(line.rstrip() for line in blocks[id(tree)]) + "\n"
+    return "\n".join(blocks[id(tree)][0]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +98,7 @@ def comb(levels: int) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Same bytes
+# Same bytes as the reference ("before" is the reference renderer's drawing)
 
 def test_valid_trees_draw_as_before():
     for seed in range(1000):
@@ -110,23 +120,30 @@ def test_a_ladder_draws_as_before(rungs):
 
 def test_a_1000_step_chain_draws_as_before():
     text = render_ascii(tree_of(gen.hadamard_chain(1000)))
-    assert len(text) == 7_081_049
+    assert len(text) == 90_539
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "02d1606f60bdaad735705a377efc22ee29a243caf4d5b642272b57a727f927fe")
+        "21c22aa9e8b282e34f7a34559ac98d77351f3ba28216f587605ecdad27a9906c")
+
+
+def test_a_chain_is_as_wide_at_every_depth():
+    # no label widens the bars below it, so depth adds lines, not columns
+    widths = {n: max(map(len, render_ascii(tree_of(gen.hadamard_chain(n))).splitlines()))
+              for n in (50, 100, 400, 1000)}
+    assert len(set(widths.values())) == 1, widths
 
 
 # ---------------------------------------------------------------------------
 # The bound
 
-@pytest.mark.parametrize("text", [gen.ladder(14), gen.hadamard_chain(10_000)],
-                         ids=["ladder-14", "chain-10000"])
+@pytest.mark.parametrize("text", [gen.ladder(14)], ids=["ladder-14"])
 def test_a_drawing_past_the_bound_is_refused(text):
+    # 43 steps, but each rung's shared premise is drawn under both branches
     with pytest.raises(RenderTooLarge) as refused:
         render_ascii(tree_of(text))
     assert refused.value.lines * (refused.value.columns + 1) > MAX_ASCII_BYTES
-    # refused from the layout alone: render_ascii had drawn no block yet
+    # refused from the sizing pass alone: render_ascii had built no row yet
     frame = refused.tb.tb_next.tb_frame
-    assert frame.f_code is render_ascii.__code__ and "blocks" not in frame.f_locals
+    assert frame.f_code is render_ascii.__code__ and "rows" not in frame.f_locals
 
 
 def test_the_refusal_names_the_exact_size(monkeypatch):
@@ -140,8 +157,12 @@ def test_the_refusal_names_the_exact_size(monkeypatch):
         assert refused.value.columns == max(map(len, lines))
 
 
-def test_the_bound_is_within_two_percent_of_the_bytes_on_chains_and_ladders():
+def test_the_bound_is_within_twenty_percent_of_the_bytes_on_chains_and_ladders():
+    # The bound counts every line at the widest one's length.  On a chain
+    # that is a bar and its label; the bars and the long sequents come near
+    # it, but every other sequent is a short one, centred, so the bound is
+    # 1.19 times the bytes at 1,000 steps.  On a ladder it is 1.03.
     for tree in (tree_of(gen.hadamard_chain(1000)), tree_of(gen.ladder(12))):
         lines = render_ascii(tree).splitlines()
         size = sum(len(line) + 1 for line in lines)
-        assert size <= len(lines) * (max(map(len, lines)) + 1) <= 1.02 * size
+        assert size <= len(lines) * (max(map(len, lines)) + 1) <= 1.2 * size

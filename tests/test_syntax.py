@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 
@@ -18,6 +20,7 @@ from qsc.syntax import (
     Qubit,
     Sequent,
     SymDegree,
+    degree_eq,
     degree_str,
     equivalent,
     formula_eq,
@@ -144,6 +147,22 @@ class TestSequentEquivalent:
     def test_compares_normal_forms_position_by_position(self, s, t, same):
         assert sequent_equivalent(s, t) is same
         assert sequent_equivalent(t, s) is same
+
+
+def test_an_infinite_degree_equals_itself():
+    # inf - inf is nan, so equality has to be asked before the difference
+    q = Qubit("A", (math.inf, math.inf))
+    assert degree_eq(math.inf, math.inf) and degree_eq(complex(math.inf, 1), complex(math.inf, 1))
+    assert not degree_eq(math.inf, -math.inf) and not degree_eq(math.inf, 1e308)
+    assert equivalent(q, q)
+    assert sequent_equivalent(Sequent((), (q, B), math.inf), Sequent((), (q, B), math.inf))
+
+
+def test_a_nan_degree_equals_nothing():
+    q = Qubit("A", (math.nan, math.nan))
+    assert not degree_eq(math.nan, math.nan) and not degree_eq(math.nan, 1.0)
+    assert not equivalent(q, q)
+    assert not sequent_equivalent(Sequent((), (B,), math.nan), Sequent((), (B,), math.nan))
 
 
 @pytest.mark.parametrize("degree, text", [(2j, "2.0i"), (1 - 2j, "1.0-2.0i")])
