@@ -111,7 +111,7 @@ class _Block(NamedTuple):
     offsets: List[int]          # each premise's column
     shift: int                  # the conclusion's column
     conclusion: str             # a leaf's whole line
-    bar: str                    # a leaf's is empty
+    label: str                  # after the bar; a leaf's is in its line
 
 
 def _layout(tree: Derivation) -> Dict[int, _Block]:
@@ -121,7 +121,7 @@ def _layout(tree: Derivation) -> Dict[int, _Block]:
         conclusion, label = sequent_str(node.conclusion), rule_label(node)
         if not node.premises:
             line = f"{conclusion}   [{label}]"
-            blocks[id(node)] = _Block(1, len(conclusion), len(line), [], 0, line, "")
+            blocks[id(node)] = _Block(1, len(conclusion), len(line), [], 0, line, label)
             continue
         above = [blocks[id(p)] for p in node.premises]
         offsets = [0]
@@ -134,7 +134,7 @@ def _layout(tree: Derivation) -> Dict[int, _Block]:
             max([b.height for b in above]) + 2, body,
             max(body + 1 + len(label), shift + offsets[-1] + above[-1].width),
             [shift + o for o in offsets], (body - len(conclusion)) // 2,
-            conclusion, "-" * body + f" {label}")
+            conclusion, label)
     return blocks
 
 
@@ -148,17 +148,18 @@ def render_ascii(tree: Derivation) -> str:
     # Each drawn occurrence (a shared premise is drawn under each parent)
     # puts its rows' texts at absolute columns.  Left subtrees go first, so
     # each row's pieces come left to right and are padded as they come.
+    bars = {key: "-" * b.body + f" {b.label}" for key, b in blocks.items() if b.offsets}
     rows: List[List[str]] = [[] for _ in range(height)]
     ends = [0] * height
     todo = [(tree, 0, height - 1)]
     while todo:
         node, column, row = todo.pop()
-        _, _, _, offsets, shift, conclusion, bar = blocks[id(node)]
+        _, _, _, offsets, shift, conclusion, _ = blocks[id(node)]
         start = column + shift
         rows[row] += (" " * (start - ends[row]), conclusion)
         ends[row] = start + len(conclusion)
-        if bar:
-            row -= 1
+        if offsets:
+            row, bar = row - 1, bars[id(node)]
             rows[row] += (" " * (column - ends[row]), bar)
             ends[row] = column + len(bar)
             for p, o in zip(reversed(node.premises), reversed(offsets)):
