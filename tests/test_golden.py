@@ -2,14 +2,16 @@
 
 The golden files under ``data/golden`` pin the machine reports, both render
 layouts and the corpus table for the bundled corpus, the tree paths the
-checker gives unlabelled trees, and the root verdict, action included, of
-each near miss of a generated valid derivation.  Regenerate them only for
+checker gives unlabelled trees, the root verdict, action included, of
+each near miss of a generated valid derivation, and the parse outcome of
+each text-level fuzz mutant.  Regenerate them only for
 an intended change of output, with ``python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import pathlib
 import random
 
@@ -18,9 +20,11 @@ import pytest
 import conftest as gen
 from qsc.corpus import CORPUS, DEFAULT_BINDINGS, load_entry
 from qsc.kernel import LogicMode, check_derivation, postorder
-from qsc.parser import script_labels
+from qsc.parser import ScriptError, parse_script, script_labels
+from qsc.render import render
 from qsc.semantics import QState, verify_soundness
 from test_cli import CORPUS as CORPUS_DIR, run
+from test_fuzz import MUTANTS, mutant
 from test_soundness import node_mutants
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -53,8 +57,25 @@ def near_miss_verdicts() -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_outcomes() -> str:
+    """One line per fuzz mutant: the refusal's class, span and message, or
+    a digest of both renders of every theorem when it parses."""
+    lines = []
+    rng = random.Random(0)
+    for i in range(MUTANTS):
+        try:
+            script = parse_script(mutant(rng))
+        except ScriptError as exc:
+            lines.append(f"{i}\t{type(exc).__name__}\t{exc.span}\t{exc.message}")
+            continue
+        drawings = "".join(render(t.derivation, style) for t in script.theorems
+                           for style in ("ascii", "linear"))
+        lines.append(f"{i}\tparsed\t{hashlib.sha256(drawings.encode()).hexdigest()[:16]}")
+    return "\n".join(lines) + "\n"
+
+
 CASES = ([f"{e.name}.{kind}" for e in CORPUS for kind in COMMANDS]
-         + ["corpus.machine", "random-tree-paths", "near-miss-verdicts"])
+         + ["corpus.machine", "random-tree-paths", "near-miss-verdicts", "parse-outcomes"])
 
 
 def golden_output(case: str):
@@ -65,6 +86,8 @@ def golden_output(case: str):
         return 0, random_tree_paths()
     if case == "near-miss-verdicts":
         return 0, near_miss_verdicts()
+    if case == "parse-outcomes":
+        return 0, parse_outcomes()
     name, kind = case.rsplit(".", 1)
     return run(*COMMANDS[kind], str(CORPUS_DIR / f"{name}.qsc"))[:2]
 
