@@ -2,16 +2,18 @@
 
 Commands: ``check``, ``verify``, ``render``, ``corpus``, ``teleport``.
 Exit codes, fixed for CI use: 0 success, 1 semantic or structural failure,
-2 unreadable or unparseable input, an unwritable ``--out`` or an ascii
-drawing past ``render.MAX_ASCII_BYTES``, 3 phase-order error (verify
-requested on a script that fails the structural check).  A command returns
-0 or 1 from ``_report``; a refusal (2 or 3) is one ``_Refused`` raised to
-``main``, which prints its one stderr line and returns its code.
+2 unreadable or unparseable input, an unwritable ``--out`` or stdout, a
+bad option value or an ascii drawing past ``render.MAX_ASCII_BYTES``, 3
+phase-order error (verify requested on a script that fails the structural
+check).  A command returns 0 or 1 from ``_report``; a refusal (2 or 3) is
+one ``_Refused`` raised to ``main``, which prints its one stderr line and
+returns its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional, TextIO
 
@@ -48,6 +50,15 @@ def _parse_complex(text: str) -> complex:
         return complex(text.replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        if (value := float(text)) >= 0:  # nan is not
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a tolerance (a number >= 0): {text!r}")
 
 
 def _read_script(path: str) -> ProofScript:
@@ -109,7 +120,13 @@ def _report(lines: List[str], out: Optional[str], ok: bool) -> int:
     """Write each line and a newline to ``out``, or to stdout if none is
     given, and return the exit code that ``ok`` decides."""
     if not out:
-        _write(sys.stdout, lines)
+        try:
+            _write(sys.stdout, lines)
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is still buffered goes to the null device at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _Refused(f"error: cannot write stdout: {exc}")
     else:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -238,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     path.add_argument("path", help="proof script (.qsc)")
     mode.add_argument("--mode", choices=["basic", "intuitionistic"],
                       default="basic", help="context discipline (default basic)")
-    values.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    values.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
                         help="residual tolerance (default 1e-9)")
     values.add_argument("--alpha", type=_parse_complex, default=DEFAULT_BINDINGS["alpha"],
                         help="value bound to the symbolic degree alpha")

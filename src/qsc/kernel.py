@@ -732,38 +732,31 @@ def check_node(node: Derivation, mode: LogicMode) -> Verdict:
     return checker(node, tuple(p.conclusion for p in node.premises), mode)
 
 
-def postorder(tree: Derivation,
-              labels: Optional[dict] = None) -> Iterator[Tuple[Derivation, str]]:
-    """Every distinct node of a derivation once, premises first, with its path.
+def postorder(tree: Derivation) -> Iterator[Tuple[Derivation, list[int]]]:
+    """Every distinct node of a derivation once, premises first, with its trail.
 
     Premises come left to right, and a premise shared by several parents
-    comes where the pre-order walk first reaches it.  The path is the
-    node's label when ``labels`` (keyed by node identity) has one, else
-    its tree path at that first visit: premise indices joined by dots,
-    ``"root"`` for the root.  The walk keeps its own stack, so the depth
-    of a derivation is bounded only by memory.
+    comes where the pre-order walk first reaches it.  The trail lists the
+    premise indices from the root down to the node at that first visit;
+    it is the walk's own list, changed as the walk goes on, so copy it to
+    keep it.  The walk keeps its own stack, so the depth of a derivation
+    is bounded only by memory.
     """
     seen = {id(tree)}
-    path = ""  # tree path of the node on top of the stack
-    # each frame: a node, its premises still to visit, the length of its
-    # parent's path (one path string, cut back on the way up, keeps the
-    # memory linear in the depth)
-    stack = [(tree, enumerate(tree.premises), 0)]
+    trail: list[int] = []
+    stack = [(tree, enumerate(tree.premises))]
     while stack:
-        node, premises, cut = stack[-1]
+        node, premises = stack[-1]
         for i, premise in premises:
             if id(premise) not in seen:
                 seen.add(id(premise))
-                stack.append((premise, enumerate(premise.premises), len(path)))
-                path = f"{path}.{i}" if path else str(i)
+                stack.append((premise, enumerate(premise.premises)))
+                trail.append(i)
                 break
         else:
             stack.pop()
-            if labels and id(node) in labels:
-                yield node, str(labels[id(node)])
-            else:
-                yield node, path or "root"
-            path = path[:cut]
+            yield node, trail
+            del trail[-1:]  # the root has no index to drop
 
 
 def last_parents(nodes: Iterable[Derivation]) -> dict:
@@ -781,7 +774,9 @@ def check_derivation(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
     """
     entries: list[NodeEntry] = []
     failed_paths: dict[int, str] = {}  # node -> first failed path in its subtree
-    for node, p in postorder(tree, labels):
+    for node, trail in postorder(tree):
+        p = (str(labels[id(node)]) if labels and id(node) in labels
+             else ".".join(map(str, trail)) or "root")
         failed = next((failed_paths[id(x)] for x in node.premises
                        if id(x) in failed_paths), None)
         verdict = check_node(node, mode)

@@ -20,8 +20,12 @@ disjunction, ``@`` for entanglement, ``0`` for the null proposition,
 ``Q_X`` and ``Q_X{a,b}`` for qubit propositions, ``|-`` and ``|-{a}`` for
 the turnstile, and ``,`` between context formulas.  Degrees are decimal
 reals or complexes (``0.6+0.8i``) or the reserved symbols ``alpha`` and
-``beta``.  Precedence, loosest first: ``@`` < ``&`` < ``#`` < ``^``;
-parentheses override.
+``beta``.  The binary connectives bind in the order of
+``syntax.CONNECTIVES``, loosest first, and each groups to the left;
+``parse_formula`` climbs that table, one level per connective, and
+``formula_str`` prints from it, so a linear render parses back.  ``^``
+binds tightest, and parentheses override.  ``_Parser.commas`` reads every
+comma list: context formulas, rule parameters and step references.
 """
 
 from __future__ import annotations
@@ -29,21 +33,22 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from .kernel import RULES, Derivation, Param
 from .syntax import (
+    CONNECTIVES,
     And,
     Atom,
     Degree,
-    Ent,
     Formula,
     NULL,
-    Par,
     Qubit,
     Sequent,
     SymDegree,
 )
+
+T = TypeVar("T")
 
 KEYWORDS = frozenset({"atoms", "theorem", "qed", "by", "premise"})
 # The most tokens one formula may span; this bounds the recursion of the
@@ -209,36 +214,25 @@ class _Parser:
             return tok.text not in KEYWORDS
         return tok.text == "0" or tok.text == "("
 
-    def parse_formula(self) -> Formula:
-        if not self.depth:
+    def parse_formula(self, level: int = 0) -> Formula:
+        """The connectives from ``CONNECTIVES[level]`` on, grouped to the
+        left; the operands of the tightest are primaries."""
+        if not (level or self.depth):
             self.start = self.pos
-        left = self.parse_and()
-        while self.at("@"):
-            at = self.next()
-            right = self.parse_and()
-            for side in (left, right):
-                if not isinstance(side, (Qubit, Atom)):
-                    raise ScriptSyntaxError(
-                        "@ relates qubit propositions Q_X (or a collapsed "
-                        "literal); parenthesized compounds are not qubits", at.span)
-            left = Ent(left, right)
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_par()
-        while self.at("&"):
-            self.next()
-            degrees = self.parse_degree_pair() if self.at("{") else None
-            right = self.parse_par()
-            left = And(left, right, degrees)
-        return left
-
-    def parse_par(self) -> Formula:
-        left = self.parse_primary()
-        while self.at("#"):
-            self.next()
-            right = self.parse_primary()
-            left = Par(left, right)
+        cls, op = CONNECTIVES[level]
+        last = level == len(CONNECTIVES) - 1
+        left = self.parse_primary() if last else self.parse_formula(level + 1)
+        while self.at(op):
+            tok = self.next()
+            # a & may carry a degree pair, its third field
+            degrees = (self.parse_degree_pair(),) if cls is And and self.at("{") else ()
+            right = self.parse_primary() if last else self.parse_formula(level + 1)
+            try:
+                left = cls(left, right, *degrees)
+            except ValueError:  # Ent refuses an operand that is not qubit-like
+                raise ScriptSyntaxError(
+                    "@ relates qubit propositions Q_X (or a collapsed "
+                    "literal); parenthesized compounds are not qubits", tok.span) from None
         return left
 
     def parse_primary(self) -> Formula:
@@ -294,28 +288,37 @@ class _Parser:
         if self.atoms is not None and name not in self.atoms:
             raise UnknownAtom(f"atom {name!r} is not declared", tok.span)
 
-    # -- sequents -----------------------------------------------------------
+    # -- lists and sequents -------------------------------------------------
 
-    def parse_formula_list(self) -> Tuple[Formula, ...]:
-        formulas = [self.parse_formula()]
+    def commas(self, item: Callable[[], T]) -> Tuple[T, ...]:
+        """``item`` read once, then once more after each ``,``."""
+        items = [item()]
         while self.at(","):
             self.next()
-            formulas.append(self.parse_formula())
-        return tuple(formulas)
+            items.append(item())
+        return tuple(items)
+
+    def parse_step_number(self) -> int:
+        tok = self.next()
+        if not tok.text.isdecimal():  # only a NUM can be all digits
+            raise ScriptSyntaxError(f"expected a step number, found {tok.text!r}", tok.span)
+        return int(tok.text)
+
+    def parse_param(self) -> str:
+        tok = self.next()
+        if tok.kind not in ("IDENT", "NUM"):
+            raise ScriptSyntaxError(f"expected a rule parameter, found {tok.text!r}", tok.span)
+        return tok.text
 
     def parse_sequent(self) -> Sequent:
-        antecedent: Tuple[Formula, ...] = ()
-        if self.starts_formula():
-            antecedent = self.parse_formula_list()
+        antecedent = self.commas(self.parse_formula) if self.starts_formula() else ()
         self.expect("|-")
         degree = None
         if self.at("{"):
-            self.expect("{")
+            self.next()
             degree = self.parse_degree()
             self.expect("}")
-        consequent: Tuple[Formula, ...] = ()
-        if self.starts_formula():
-            consequent = self.parse_formula_list()
+        consequent = self.commas(self.parse_formula) if self.starts_formula() else ()
         return Sequent(antecedent, consequent, degree)
 
 
@@ -357,60 +360,43 @@ class ProofScript:
         raise KeyError(name)
 
 
-def parse_formula(text: str, atoms: Optional[Sequence[str]] = None) -> Formula:
-    """Parse a single formula; atom names are unchecked unless given."""
+def _parse_whole(text: str, atoms: Optional[Sequence[str]],
+                 parse: Callable[[_Parser], T], what: str) -> T:
+    """``parse`` over all of ``text``; input left after it is an error."""
     p = _Parser(tokenize(text), atoms)
-    f = p.parse_formula()
+    result = parse(p)
     tok = p.peek()
     if tok.kind != "EOF":
-        raise ScriptSyntaxError(f"trailing input {tok.text!r} after formula", tok.span)
-    return f
+        raise ScriptSyntaxError(f"trailing input {tok.text!r} after {what}", tok.span)
+    return result
+
+
+def parse_formula(text: str, atoms: Optional[Sequence[str]] = None) -> Formula:
+    """Parse a single formula; atom names are unchecked unless given."""
+    return _parse_whole(text, atoms, _Parser.parse_formula, "formula")
 
 
 def parse_sequent(text: str, atoms: Optional[Sequence[str]] = None) -> Sequent:
-    p = _Parser(tokenize(text), atoms)
-    s = p.parse_sequent()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ScriptSyntaxError(f"trailing input {tok.text!r} after sequent", tok.span)
-    return s
+    return _parse_whole(text, atoms, _Parser.parse_sequent, "sequent")
 
 
 def _parse_rule_params(p: _Parser, rule: str) -> Tuple[Param, ...]:
     if not p.at("["):
         return ()
-    p.expect("[")
-    params: List[Param] = []
-    if rule == "cut":
-        params.append(p.parse_formula())
-    else:
-        while True:
-            tok = p.next()
-            if tok.kind not in ("IDENT", "NUM"):
-                raise ScriptSyntaxError(
-                    f"expected a rule parameter, found {tok.text!r}", tok.span)
-            params.append(tok.text)
-            if not p.at(","):
-                break
-            p.next()
+    p.next()
+    params = (p.parse_formula(),) if rule == "cut" else p.commas(p.parse_param)
     p.expect("]")
-    return tuple(params)
-
-
-def _parse_int(p: _Parser) -> Tuple[int, Token]:
-    tok = p.next()
-    if not tok.text.isdecimal():  # only a NUM can be all digits
-        raise ScriptSyntaxError(f"expected a step number, found {tok.text!r}", tok.span)
-    return int(tok.text), tok
+    return params
 
 
 def _parse_step(p: _Parser) -> Step:
-    step_id, id_tok = _parse_int(p)
+    id_span = p.peek().span
+    step_id = p.parse_step_number()
     p.expect(":")
     sequent = p.parse_sequent()
     tok = p.next()
     if tok.text == "premise":
-        return Step(step_id, sequent, "premise", span=id_tok.span)
+        return Step(step_id, sequent, "premise", span=id_span)
     if tok.text == "by":
         rule_tok = p.next()
         if rule_tok.kind != "IDENT":
@@ -422,16 +408,9 @@ def _parse_step(p: _Parser) -> Step:
                 rule_tok.span)
         params = _parse_rule_params(p, rule)
         p.expect("(")
-        refs: List[int] = []
-        if not p.at(")"):
-            while True:
-                ref, _ = _parse_int(p)
-                refs.append(ref)
-                if not p.at(","):
-                    break
-                p.next()
+        refs = () if p.at(")") else p.commas(p.parse_step_number)
         p.expect(")")
-        return Step(step_id, sequent, rule, tuple(refs), params, id_tok.span)
+        return Step(step_id, sequent, rule, refs, params, id_span)
     raise ScriptSyntaxError(
         f"expected 'premise' or 'by <rule>(...)', found {tok.text or 'end of input'!r}",
         tok.span)

@@ -313,10 +313,10 @@ def formula_wires(f: Formula) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Text form (shared by the renderer, reports and error messages).
 
-_PREC_ENT = 1
-_PREC_AND = 2
-_PREC_PAR = 3
-_PREC_PRIMARY = 4
+# The binary connectives and their spelling, loosest first; each groups to
+# the left.  The parser and ``formula_str`` both read precedence from here.
+CONNECTIVES = ((Ent, "@"), (And, "&"), (Par, "#"))
+_LEVEL = {cls: level for level, (cls, _) in enumerate(CONNECTIVES)}
 
 
 def degree_str(d: Degree) -> str:
@@ -331,41 +331,32 @@ def degree_str(d: Degree) -> str:
     return f"{c.real!r}{sign}{abs(c.imag)!r}i"
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Ent):
-        return _PREC_ENT
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Par):
-        return _PREC_PAR
-    return _PREC_PRIMARY
+def _degree_pair_str(degrees: Optional[DegreePair]) -> str:
+    """``{a,b}``, or nothing for the undegreed pair."""
+    return "" if degrees is None else f"{{{degree_str(degrees[0])},{degree_str(degrees[1])}}}"
 
 
 def formula_str(f: Formula) -> str:
-    def child(g: Formula, parent_prec: int, right: bool) -> str:
-        text = formula_str(g)
-        p = _prec(g)
-        if p < parent_prec or (p == parent_prec and right):
-            return f"({text})"
-        return text
-
     if isinstance(f, Atom):
         return f.name + ("^" if f.negated else "")
     if isinstance(f, Null):
         return "0"
     if isinstance(f, Qubit):
-        if f.degrees is None:
-            return f"Q_{f.name}"
-        return f"Q_{f.name}{{{degree_str(f.degrees[0])},{degree_str(f.degrees[1])}}}"
+        return f"Q_{f.name}{_degree_pair_str(f.degrees)}"
+    level = _LEVEL.get(type(f))
+    if level is None:
+        raise TypeError(f"not a formula: {f!r}")
+    op = CONNECTIVES[level][1]
     if isinstance(f, And):
-        op = "&" if f.degrees is None else \
-            f"&{{{degree_str(f.degrees[0])},{degree_str(f.degrees[1])}}}"
-        return f"{child(f.left, _PREC_AND, False)} {op} {child(f.right, _PREC_AND, True)}"
-    if isinstance(f, Par):
-        return f"{child(f.left, _PREC_PAR, False)} # {child(f.right, _PREC_PAR, True)}"
-    if isinstance(f, Ent):
-        return f"{child(f.left, _PREC_ENT, False)} @ {child(f.right, _PREC_ENT, True)}"
-    raise TypeError(f"not a formula: {f!r}")
+        op += _degree_pair_str(f.degrees)
+    # a child binding looser, or as loose on the right, is parenthesized;
+    # an atom, qubit or 0 binds tighter than every connective
+    left, right = formula_str(f.left), formula_str(f.right)
+    if _LEVEL.get(type(f.left), len(CONNECTIVES)) < level:
+        left = f"({left})"
+    if _LEVEL.get(type(f.right), len(CONNECTIVES)) <= level:
+        right = f"({right})"
+    return f"{left} {op} {right}"
 
 
 def sequent_str(s: Sequent) -> str:

@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from conftest import ladder
+from conftest import hadamard_chain, ladder
 from qsc.cli import main
 from qsc.corpus import corpus_text
 from qsc.parser import parse_script
@@ -243,6 +243,37 @@ def test_an_unwritable_out_is_an_input_error(tmp_path, command):
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
+def _cli(*argv, **popen):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "qsc.cli", *map(str, argv)], env=env,
+                            stderr=subprocess.PIPE, text=True, **popen)
+
+
+# the 2,000-step report is about 123 kB, more than a pipe holds
+@pytest.mark.parametrize("command, first", [(["check"], "theorem chain: goal |- A^\n"),
+                                            (["render"], "-- theorem chain\n")],
+                         ids=["check", "render"])
+def test_a_reader_that_leaves_early_is_an_output_error(tmp_path, command, first):
+    script = tmp_path / "chain.qsc"
+    script.write_text(hadamard_chain(2_000))
+    child = _cli(*command, script, stdout=subprocess.PIPE)
+    assert child.stdout.readline() == first
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_is_an_output_error():
+    with open("/dev/full", "w") as full:
+        child = _cli("check", CORPUS / "tel.qsc", stdout=full)
+        err = child.stderr.read()
+    assert child.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 class TestCorpus:
     def test_full_run(self):
         code, out, _ = run("corpus")
@@ -325,3 +356,21 @@ def test_a_value_that_is_not_complex_is_a_usage_error(capsys):
         main(["teleport", "--alpha", "abc"])
     assert exc.value.code == 2
     assert "not a complex number: 'abc'" in capsys.readouterr().err
+
+
+# teleport's branches all have probability 0.25 and fidelity 1, so only a
+# tolerance that compares nothing could fail them
+@pytest.mark.parametrize("command", [["verify", str(CORPUS / "tel.qsc")], ["corpus"],
+                                     ["teleport"]])
+@pytest.mark.parametrize("tol", ["nan", "-1", "-0.5", "abc"])
+def test_a_tolerance_that_is_not_at_least_zero_is_a_usage_error(capsys, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tol", tol])
+    assert exc.value.code == 2
+    assert f"not a tolerance (a number >= 0): {tol!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", str(CORPUS / "tel.qsc"), "--tol", "0"],
+                                  ["teleport", "--tol", "inf"]])
+def test_a_tolerance_of_zero_or_infinity_is_read(argv):
+    assert run(*argv)[0] == 0

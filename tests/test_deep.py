@@ -126,3 +126,15 @@ def test_cli_on_a_formula_within_the_bound(tmp_path, shape, n, command):
     # 128 terms on one wire overlap, which verify reports as an error entry
     assert done.returncode == (1 if (command, shape) == ("verify", "terms") else 0)
     assert "Traceback" not in done.stderr
+
+
+def test_a_parenthesis_costs_the_parser_four_frames():
+    # 127 levels at 4 frames each need a recursion limit of about 520; at
+    # 5 frames a level they would need about 650
+    code = ("import sys\nfrom qsc.parser import parse_formula\nsys.setrecursionlimit(600)\n"
+            "print(repr(parse_formula('(' * 127 + 'A' + ')' * 127)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "Atom(name='A', negated=False)\n"), done.stderr
