@@ -20,12 +20,9 @@ disjunction, ``@`` for entanglement, ``0`` for the null proposition,
 ``Q_X`` and ``Q_X{a,b}`` for qubit propositions, ``|-`` and ``|-{a}`` for
 the turnstile, and ``,`` between context formulas.  Degrees are decimal
 reals or complexes (``0.6+0.8i``) or the reserved symbols ``alpha`` and
-``beta``.  The binary connectives bind in the order of
-``syntax.CONNECTIVES``, loosest first, and each groups to the left;
-``parse_formula`` climbs that table, one level per connective, and
-``formula_str`` prints from it, so a linear render parses back.  ``^``
-binds tightest, and parentheses override.  ``_Parser.commas`` reads every
-comma list: context formulas, rule parameters and step references.
+``beta``.  The binary connectives bind as ``syntax.CONNECTIVES`` orders
+them, loosest first, each grouping to the left; ``^`` binds tightest, and
+parentheses override.
 """
 
 from __future__ import annotations
@@ -315,7 +312,7 @@ class _Parser:
         self.expect("|-")
         degree = None
         if self.at("{"):
-            self.next()
+            self.expect("{")
             degree = self.parse_degree()
             self.expect("}")
         consequent = self.commas(self.parse_formula) if self.starts_formula() else ()

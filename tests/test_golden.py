@@ -4,8 +4,8 @@ The golden files under ``data/golden`` pin the machine reports, both render
 layouts and the corpus table for the bundled corpus, the tree paths the
 checker gives unlabelled trees, the root verdict, action included, of
 each near miss of a generated valid derivation, and the parse outcome of
-each text-level fuzz mutant.  Regenerate them only for
-an intended change of output, with ``python tests/test_golden.py``.
+each text-level fuzz mutant.  Regenerate them only for an intended change
+of output, with ``python tests/test_golden.py``.
 """
 
 from __future__ import annotations

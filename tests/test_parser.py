@@ -43,6 +43,9 @@ from qsc.syntax import (
 A, A_ = Atom("A"), Atom("A", True)
 B, B_ = Atom("B"), Atom("B", True)
 
+ENT_OPERANDS = ("@ relates qubit propositions Q_X (or a collapsed literal); "
+                "parenthesized compounds are not qubits")
+
 # Step 2 is referenced by no later step, so the theorem (the tree under
 # step 3) would drop steps 1 and 2 without a word.
 UNUSED_STEP_SCRIPT = ("atoms A B\n"
@@ -227,8 +230,12 @@ class TestParseScript:
          UnusedStep, "4:3: step 2 is used by no later step, so theorem 't' would drop it"),
         (parse_formula, "A B", ScriptSyntaxError, "1:3: trailing input 'B' after formula"),
         (parse_sequent, "|- A )", ScriptSyntaxError, "1:6: trailing input ')' after sequent"),
+        (parse_formula, "(Q_A @ Q_B) @ Q_C", ScriptSyntaxError,
+         f"1:13: {ENT_OPERANDS}"),
+        (parse_formula, "Q_A @ (A # B)", ScriptSyntaxError, f"1:5: {ENT_OPERANDS}"),
     ], ids=["empty-wire-name", "no-steps", "no-theorem", "unused-step",
-            "formula-trailer", "sequent-trailer"])
+            "formula-trailer", "sequent-trailer", "compound-left-of-at",
+            "compound-right-of-at"])
     def test_errors_name_their_class_and_place(self, parse, text, error, expected):
         with pytest.raises(ScriptError) as exc:
             parse(text)
