@@ -311,6 +311,25 @@ class TestQSplit:
         v = check_qsplit(premises, sq("|- B, A^"), ("pos",))
         assert not v.ok and v.code == "SchemaMismatch"
 
+    WRONG_AXIOMS = (False, "SchemaMismatch", "expected the two reflection axioms "
+                    "'Q_B |- B' and 'Q_B |- B^'", ())
+
+    @pytest.mark.parametrize("axioms, expected", [
+        (("Q_B |-{0.5} B", "Q_B |- B^"), WRONG_AXIOMS),
+        (("Q_B, Q_A |- B", "Q_B |- B^"), WRONG_AXIOMS),
+        (("Q_B |- B # A", "Q_B |- B^"), WRONG_AXIOMS),
+        (("Q_B |- Q_B", "Q_B |- B^"), WRONG_AXIOMS),
+        (("|- B", "Q_B |- B^"), WRONG_AXIOMS),
+        (("Q_B |- B", "Q_B |- B"),
+         (False, "SchemaMismatch", "both reflection axioms are required", ())),
+        (("Q_B{0.6, 0.8} |- B", "Q_B |- B^"), (True, "ok", "", ("project", ("B",), 1))),
+    ], ids=["degreed-sequent", "two-qubit-antecedent", "non-literal-consequent",
+            "qubit-consequent", "no-antecedent", "one-polarity", "degreed-qubit"])
+    def test_explicit_axiom_verdicts(self, axioms, expected):
+        premises = (sq("|- Q_B, A^"), *map(sq, axioms))
+        v = check_qsplit(premises, sq("|- B, A^"), ("pos",))
+        assert (v.ok, v.code, v.message, v.action) == expected
+
 
 # ---------------------------------------------------------------------------
 # Structural rules

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from qsc.kernel import check_derivation
 from qsc.parser import parse_script, parse_sequent, script_labels
 from qsc.semantics import (
     CNOT_MATRIX,
+    DEFAULT_TOL,
     H_MATRIX,
     M0_MATRIX,
     M1_MATRIX,
@@ -31,6 +33,7 @@ from qsc.semantics import (
     denote_assertion,
     entanglement_entropy,
     fidelity,
+    predict,
     residual,
     teleport_oracle,
     tensor,
@@ -389,6 +392,32 @@ def reference_tensor(a, b):
     return QState(a.wires + b.wires, np.outer(a.amps, b.amps).ravel())
 
 
+def reference_entropy(state, wire):
+    v = reference_unit(state.amps)
+    n = len(state.wires)
+    t = np.moveaxis(v.reshape([2] * n), state.wires.index(wire), 0).reshape(2, -1)
+    eigs = np.clip(np.linalg.eigvalsh(t @ t.conj().T).real, 0.0, 1.0)
+    return max(0.0, float(-sum(p * math.log2(p) for p in eigs if p > ZERO_NORM)))
+
+
+def reference_project(wires, bit, state, keep):
+    """``predict``'s projection: project each wire, normalize, and drop
+    the wires not kept once each is in a basis state."""
+    for wire in wires:
+        state = reference_apply((M0_MATRIX, M1_MATRIX)[bit], (wire,), state)
+    unit = reference_unit(state.amps)
+    if unit is not None:
+        state = QState(state.wires, unit)
+    for wire in [w for w in state.wires if w not in keep]:
+        k = state.wires.index(wire)
+        t = np.moveaxis(state.amps.reshape([2] * len(state.wires)), k, 0).reshape(2, -1)
+        norms = np.linalg.norm(t, axis=1)
+        if norms.min() > DEFAULT_TOL * max(1.0, norms.max()):
+            raise WireMismatch(f"wire {wire} is still entangled; cannot discard")
+        state = QState(state.wires[:k] + state.wires[k + 1:], t[int(np.argmax(norms))])
+    return state
+
+
 def reference_residual(predicted, actual):
     vp, vb = reference_unit(predicted.amps), reference_unit(align(actual, predicted.wires).amps)
     if vp is None or vb is None:
@@ -422,6 +451,14 @@ def bitwise_states():
 
 def same_amps(a, b):
     return a.wires == b.wires and np.array_equal(a.amps, b.amps, equal_nan=True)
+
+
+def outcome(f, *args):
+    """``("state", result)``, or ``("raises", "Class: message")``."""
+    try:
+        return "state", f(*args)
+    except Exception as exc:
+        return "raises", f"{type(exc).__name__}: {exc}"
 
 
 def same_residual(a, b):
@@ -479,6 +516,30 @@ class TestBitwiseAgainstTheReference:
             nudged = QState(s.wires, s.amps * np.exp(0.3j) * (1 + 2 ** -52))
             for actual in (s, nudged):
                 assert same_residual(residual(s, actual), reference_residual(s, actual))
+
+    def test_entanglement_entropy(self):
+        for s in bitwise_states():
+            if _unit(s.amps) is None:
+                continue
+            for w in s.wires:
+                assert same_residual(entanglement_entropy(s, w), reference_entropy(s, w)), \
+                    (s.wires, w)
+
+    def test_projection_and_drop(self):
+        cases = 0
+        for s in bitwise_states():
+            for wires in [*((w,) for w in s.wires), s.wires[:2], s.wires[-2:][::-1]]:
+                rest = tuple(w for w in s.wires if w not in wires)
+                # keep the other wires, or also drop one that is not projected
+                for keep in (rest, rest[1:]) if rest else (rest,):
+                    for bit in (0, 1):
+                        want = outcome(reference_project, wires, bit, s, keep)
+                        got = outcome(predict, ("project", wires, bit), [s], keep)
+                        assert got[0] == want[0], (s.wires, wires, keep, bit)
+                        assert (same_amps(got[1], want[1]) if got[0] == "state"
+                                else got[1] == want[1]), (s.wires, wires, keep, bit)
+                        cases += 1
+        assert cases > 1000
 
     def test_tensor(self):
         states = list(bitwise_states())
