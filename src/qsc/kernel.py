@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .syntax import (
     EVEN_DEGREES,
@@ -546,19 +546,14 @@ def check_qsplit(premises: Tuple[Sequent, ...], conclusion: Sequent,
                      "(or name the wire as a second parameter)")
     i, qubit = candidates[0]
     if len(premises) == 3:
-        shapes = set()
-        for axiom in premises[1:]:
-            lit = _literal(axiom.consequent[0]) if len(axiom.consequent) == 1 else None
-            ant = normalize(axiom.antecedent[0]) if len(axiom.antecedent) == 1 else None
-            if (lit is None or not isinstance(ant, Qubit)
-                    or ant.name != qubit.name or lit.name != qubit.name
-                    or axiom.degree is not None):
-                return _fail("SchemaMismatch",
-                             "expected the two reflection axioms "
-                             f"'Q_{qubit.name} |- {qubit.name}' and "
-                             f"'Q_{qubit.name} |- {qubit.name}^'")
-            shapes.add(lit.negated)
-        if shapes != {True, False}:
+        # each axiom measures one qubit on the split wire, as a cut's right premise
+        axioms = [_measured(axiom) if axiom.degree is None else None for axiom in premises[1:]]
+        if not all(m is not None and [q.name for q in m[0]] == [qubit.name] for m in axioms):
+            return _fail("SchemaMismatch",
+                         "expected the two reflection axioms "
+                         f"'Q_{qubit.name} |- {qubit.name}' and "
+                         f"'Q_{qubit.name} |- {qubit.name}^'")
+        if {outcome.negated for _, outcome in axioms} != {True, False}:
             return _fail("SchemaMismatch", "both reflection axioms are required")
     outcome = Atom(qubit.name, negated=(branch == "neg"))
     expected = Sequent(source.antecedent,
@@ -757,11 +752,6 @@ def postorder(tree: Derivation) -> Iterator[Tuple[Derivation, list[int]]]:
             stack.pop()
             yield node, trail
             del trail[-1:]  # the root has no index to drop
-
-
-def last_parents(nodes: Iterable[Derivation]) -> dict:
-    """Each premise's identity mapped to the last of ``nodes`` that uses it."""
-    return {id(p): node for node in nodes for p in node.premises}
 
 
 def check_derivation(tree: Derivation, mode: LogicMode = LogicMode.BASIC,

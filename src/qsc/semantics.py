@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernel  # bench/tracing.py wraps qsc.kernel.check_derivation, which verify calls
-from .kernel import Derivation, LogicMode, NodeEntry, last_parents
+from .kernel import Derivation, LogicMode, NodeEntry
 from .syntax import (
     EVEN_DEGREES,
     SQRT1_2,
@@ -160,8 +160,12 @@ def _product(factors: Iterable[Tuple[Wires, np.ndarray]]) -> Tuple[Wires, np.nda
     return wires, amps
 
 
-def tensor(a: QState, b: QState) -> QState:
-    return QState(*_product(((a.wires, a.amps), (b.wires, b.amps))))
+def _rows(wires: Wires, amps: np.ndarray, named: Sequence[str]) -> Tuple[np.ndarray, list]:
+    """``amps`` on ``wires`` as one row per basis state of the ``named``
+    wires, which move to the front in order, and the axis order used."""
+    axes = [wires.index(w) for w in named]
+    order = axes + [i for i in range(len(wires)) if i not in axes]
+    return amps.reshape([2] * len(wires)).transpose(order).reshape(2 ** len(axes), -1), order
 
 
 def _aligned(have: Wires, amps: np.ndarray, wires: Wires) -> np.ndarray:
@@ -170,15 +174,7 @@ def _aligned(have: Wires, amps: np.ndarray, wires: Wires) -> np.ndarray:
         raise WireMismatch(f"cannot align {have} to {wires}")
     if wires == have:
         return amps
-    perm = [have.index(w) for w in wires]
-    return amps.reshape([2] * len(wires)).transpose(perm).reshape(-1)
-
-
-def align(state: QState, wires: Sequence[str]) -> QState:
-    """Reorder the wire axes to the given order (same wire set required)."""
-    wires = tuple(wires)
-    amps = _aligned(state.wires, state.amps, wires)
-    return state if wires == state.wires else QState(wires, amps)
+    return _rows(have, amps, wires)[0].reshape(-1)
 
 
 def residual(predicted: QState, actual: QState) -> float:
@@ -209,9 +205,7 @@ def entanglement_entropy(state: QState, wire: str) -> float:
     v = _unit(state.amps)
     if v is None:
         raise ZeroState("entropy of a zero state is undefined")
-    n = len(state.wires)
-    k = state.wires.index(wire)
-    t = np.moveaxis(v.reshape([2] * n), k, 0).reshape(2, -1)
+    t = _rows(state.wires, v, (wire,))[0]
     rho = t @ t.conj().T
     eigs = np.linalg.eigvalsh(rho)
     eigs = np.clip(eigs.real, 0.0, 1.0)
@@ -243,11 +237,9 @@ def apply(matrix: np.ndarray, wires: Sequence[str], state: QState) -> QState:
     if missing:
         raise WireMismatch(f"state has no wire(s) {sorted(missing)}")
     n = len(state.wires)
-    axes = [state.wires.index(w) for w in wires]
     # the named wires to the front, the matrix on them, and back again
-    order = axes + [i for i in range(n) if i not in axes]
-    t = matrix @ state.amps.reshape([2] * n).transpose(order).reshape(2 ** k, -1)
-    t = t.reshape([2] * n).transpose(sorted(range(n), key=order.__getitem__))
+    rows, order = _rows(state.wires, state.amps, wires)
+    t = (matrix @ rows).reshape([2] * n).transpose(sorted(range(n), key=order.__getitem__))
     return QState(state.wires, t.reshape(-1))
 
 
@@ -340,15 +332,11 @@ def _drop_wires(state: QState, keep: Sequence[str], tol: float) -> QState:
     """Discard wires that are in a basis product state (post-measurement)."""
     out = state
     for wire in [w for w in state.wires if w not in keep]:
-        n = len(out.wires)
-        k = out.wires.index(wire)
-        t = np.moveaxis(out.amps.reshape([2] * n), k, 0).reshape(2, -1)
+        t = _rows(out.wires, out.amps, (wire,))[0]
         norms = np.linalg.norm(t, axis=1)
         if norms.min() > tol * max(1.0, norms.max()):
             raise WireMismatch(f"wire {wire} is still entangled; cannot discard")
-        b = int(np.argmax(norms))
-        wires = out.wires[:k] + out.wires[k + 1:]
-        out = QState(wires, t[b])
+        out = QState(tuple(w for w in out.wires if w != wire), t[int(np.argmax(norms))])
     return out
 
 
@@ -427,7 +415,8 @@ def verify_soundness(tree: Derivation, mode: LogicMode = LogicMode.BASIC,
             return SoundnessEntry(p, rule, "error", None, f"{type(exc).__name__}: {exc}")
 
     check = kernel.check_derivation(tree, mode, labels)
-    last = last_parents(e.node for e in check.entries)
+    # each premise's identity mapped to the last entry's node that uses it
+    last = {id(x): e.node for e in check.entries for x in e.node.premises}
     entries = []
     # degrees that overflow the replay show as a NaN residual, not a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,7 +6,7 @@ AST.  The one allowed unused import is a name ``bench/tracing.py`` wraps in
 that module, since the tracer can only rebind a name the module binds:
 ``qsc.corpus.check_derivation`` and ``qsc.semantics.normalize`` today.
 Every top-level function and class is read outside its own body, in
-``src/qsc``, ``tests``, ``bench`` or ``demos``.  The modules that parse,
+``src/qsc``, ``bench`` or ``demos``: code that only tests read is dead.  The modules that parse,
 check and render a script import neither numpy nor the modules that need it.
 """
 
@@ -25,8 +25,8 @@ MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py"
 # the modules ``qsc check`` and ``qsc render`` need, and what they may not import
 CHECK_PATH = ("syntax", "parser", "kernel", "render")
 NOT_ON_CHECK_PATH = ("numpy", "qsc.semantics", "qsc.corpus", "qsc.cli")
-READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                  *(ROOT / "bench").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "bench").rglob("*.py"),
+                  *(ROOT / "demos").glob("*.py")])
 
 
 def read_names(tree: ast.AST) -> set:
