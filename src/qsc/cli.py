@@ -7,7 +7,7 @@ bad option value or an ascii drawing past ``render.MAX_ASCII_BYTES``, 3
 phase-order error (verify requested on a script that fails the structural
 check).  A command returns 0 or 1 from ``_report``; a refusal (2 or 3) is
 one ``_Refused`` raised to ``main``, which prints its one stderr line and
-returns its code.
+returns its code, also when stderr cannot be written.
 """
 
 from __future__ import annotations
@@ -116,6 +116,17 @@ def _write(handle: TextIO, lines: List[str]) -> None:
         handle.write("\n")
 
 
+def _stderr(line: str) -> None:
+    """Write one line to stderr, or drop it if stderr is closed or cannot be
+    written: the exit code still tells the caller what happened."""
+    if sys.stderr is None:  # started without fd 2; print would pick stdout
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _report(lines: List[str], out: Optional[str], ok: bool) -> int:
     """Write each line and a newline to ``out``, or to stdout if none is
     given, and return the exit code that ``ok`` decides."""
@@ -221,7 +232,7 @@ def cmd_corpus(args) -> int:
     divergent = [r.name for r in results if not r.ok]
     code = _report(lines, args.out, not divergent)
     if divergent:
-        print("divergent entries: " + ", ".join(divergent), file=sys.stderr)
+        _stderr("divergent entries: " + ", ".join(divergent))
     return code
 
 
@@ -285,7 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except _Refused as refusal:
-        print(refusal, file=sys.stderr)
+        _stderr(str(refusal))
         return refusal.code
 
 

@@ -42,6 +42,7 @@ from .syntax import (
     NULL,
     Qubit,
     Sequent,
+    SYMBOLIC_NAMES,
     SymDegree,
 )
 
@@ -190,7 +191,7 @@ class _Parser:
         tok = self.next()
         if tok.kind == "NUM":
             return _parse_number(tok)
-        if tok.text in ("alpha", "beta"):
+        if tok.text in SYMBOLIC_NAMES:
             return SymDegree(tok.text)
         raise ScriptSyntaxError(
             f"expected a degree (number, alpha or beta), found {tok.text!r}", tok.span)
@@ -413,11 +414,14 @@ def _parse_step(p: _Parser) -> Step:
         tok.span)
 
 
-def _parse_theorem(p: _Parser) -> Theorem:
+def _parse_theorem(p: _Parser, defined: Sequence[Theorem]) -> Theorem:
     p.expect("theorem")
     name_tok = p.next()
     if name_tok.kind != "IDENT" or name_tok.text in KEYWORDS:
         raise ScriptSyntaxError("expected a theorem name", name_tok.span)
+    if any(t.name == name_tok.text for t in defined):
+        raise ScriptSyntaxError(f"theorem {name_tok.text!r} is already defined",
+                                name_tok.span)
     p.expect(":")
     steps: List[Step] = []
     nodes: Dict[int, Derivation] = {}
@@ -468,7 +472,7 @@ def parse_script(text: str) -> ProofScript:
         if tok.text.startswith("Q_"):
             raise ScriptSyntaxError("atom names may not use the reserved 'Q_' prefix",
                                     tok.span)
-        if tok.text in ("alpha", "beta"):
+        if tok.text in SYMBOLIC_NAMES:
             raise ScriptSyntaxError(f"{tok.text!r} is a reserved degree symbol", tok.span)
         if tok.text in atoms:
             raise ScriptSyntaxError(f"atom {tok.text!r} declared twice", tok.span)
@@ -478,7 +482,7 @@ def parse_script(text: str) -> ProofScript:
     p.atoms = set(atoms)
     theorems: List[Theorem] = []
     while p.at("theorem"):
-        theorems.append(_parse_theorem(p))
+        theorems.append(_parse_theorem(p, theorems))
     tok = p.peek()
     if tok.kind != "EOF":
         raise ScriptSyntaxError(f"unexpected {tok.text!r} after the last theorem",

@@ -55,6 +55,15 @@ class TestCheck:
                        "so theorem 't' would drop it\n")
 
     @pytest.mark.parametrize("command", ["check", "verify", "render"])
+    def test_a_theorem_named_twice_is_an_input_error(self, tmp_path, command):
+        script = tmp_path / "twice.qsc"
+        script.write_text("atoms A\ntheorem t:\n  1: |- A premise\nqed\n"
+                          "theorem t:\n  1: |- A premise\nqed\n")
+        code, out, err = run(command, str(script))
+        assert (code, out) == (2, "")
+        assert err == f"{script}:5:9: ScriptSyntaxError: theorem 't' is already defined\n"
+
+    @pytest.mark.parametrize("command", ["check", "verify", "render"])
     def test_missing_file(self, command):
         code, out, err = run(command, "no-such-file.qsc")
         assert code == 2 and out == ""
@@ -246,8 +255,9 @@ def test_an_unwritable_out_is_an_input_error(tmp_path, command):
 def _cli(*argv, **popen):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    popen = {"stderr": subprocess.PIPE, **popen}
     return subprocess.Popen([sys.executable, "-m", "qsc.cli", *map(str, argv)], env=env,
-                            stderr=subprocess.PIPE, text=True, **popen)
+                            text=True, **popen)
 
 
 # the 2,000-step report is about 123 kB, more than a pipe holds
@@ -272,6 +282,29 @@ def test_a_full_stdout_is_an_output_error():
         err = child.stderr.read()
     assert child.wait(timeout=120) == 2
     assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+REFUSALS = [(["check", DATA / "broken.qsc"], 2), (["verify", DATA / "failing.qsc"], 3)]
+
+
+def _refused_with_stderr(command, code, **popen):
+    child = _cli(*command, stdout=subprocess.PIPE, **popen)
+    out = child.stdout.read()
+    child.stdout.close()
+    assert child.wait(timeout=120) == code
+    assert out == run(*map(str, command))[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command, code", REFUSALS, ids=["check", "verify"])
+def test_a_refusal_keeps_its_code_when_stderr_is_full(command, code):
+    with open("/dev/full", "w") as full:
+        _refused_with_stderr(command, code, stderr=full)
+
+
+@pytest.mark.parametrize("command, code", REFUSALS, ids=["check", "verify"])
+def test_a_refusal_keeps_its_code_when_stderr_is_closed(command, code):
+    _refused_with_stderr(command, code, stderr=None, preexec_fn=lambda: os.close(2))
 
 
 class TestCorpus:

@@ -228,13 +228,16 @@ class TestParseScript:
          ScriptSyntaxError, "2:1: a script must contain at least one theorem"),
         (parse_script, UNUSED_STEP_SCRIPT,
          UnusedStep, "4:3: step 2 is used by no later step, so theorem 't' would drop it"),
+        (parse_script, "atoms A\ntheorem t:\n  1: |- A premise\nqed\n"
+                       "theorem t:\n  1: |- A^ premise\nqed\n",
+         ScriptSyntaxError, "5:9: theorem 't' is already defined"),
         (parse_formula, "A B", ScriptSyntaxError, "1:3: trailing input 'B' after formula"),
         (parse_sequent, "|- A )", ScriptSyntaxError, "1:6: trailing input ')' after sequent"),
         (parse_formula, "(Q_A @ Q_B) @ Q_C", ScriptSyntaxError,
          f"1:13: {ENT_OPERANDS}"),
         (parse_formula, "Q_A @ (A # B)", ScriptSyntaxError, f"1:5: {ENT_OPERANDS}"),
     ], ids=["empty-wire-name", "no-steps", "no-theorem", "unused-step",
-            "formula-trailer", "sequent-trailer", "compound-left-of-at",
+            "theorem-named-twice", "formula-trailer", "sequent-trailer", "compound-left-of-at",
             "compound-right-of-at"])
     def test_errors_name_their_class_and_place(self, parse, text, error, expected):
         with pytest.raises(ScriptError) as exc:
