@@ -304,12 +304,13 @@ def check_negrefl(premise: Sequent, conclusion: Sequent,
 # The last two realize measurements inside an entangled assertion; the joint
 # shape is the two-qubit measurement of the teleportation proof and carries
 # the outcome's assertion degree onto the conclusion.  Both, and the EPR
-# macro, read the right premise with ``_measured`` and collapse with ``_collapse``.
+# macro, read the right premise with ``_measured`` and collapse with ``_collapse``;
+# qsplit reads its explicit reflection axioms with ``_measured`` too.
 
 def _measured(right: Sequent) -> Optional[Tuple[Tuple[Qubit, ...], Atom]]:
-    """The qubits the right premise of a cut or EPR step measures and the
-    outcome, or ``None``: one or two qubits (degrees allowed) measured into
-    one literal on one of their wires."""
+    """The qubits the right premise of a cut or EPR step (or a reflection
+    axiom of qsplit) measures and the outcome, or ``None``: one or two
+    qubits (degrees allowed) measured into one literal on one of their wires."""
     qubits = tuple(normalize(f) for f in right.antecedent)
     outcome = _literal(right.consequent[0]) if len(right.consequent) == 1 else None
     if (outcome is None or not 1 <= len(qubits) <= 2
