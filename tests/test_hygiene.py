@@ -6,8 +6,9 @@ AST.  The one allowed unused import is a name ``bench/tracing.py`` wraps in
 that module, since the tracer can only rebind a name the module binds:
 ``qsc.corpus.check_derivation`` and ``qsc.semantics.normalize`` today.
 Every top-level function and class is read outside its own body, in
-``src/qsc``, ``bench`` or ``demos``: code that only tests read is dead.  The modules that parse,
-check and render a script import neither numpy nor the modules that need it.
+``src/qsc``, ``bench`` or ``demos``: code that only tests read is dead.
+The modules that parse, check and render a script import neither numpy nor
+the modules that need it.
 """
 
 from __future__ import annotations

@@ -237,8 +237,8 @@ class TestParseScript:
          f"1:13: {ENT_OPERANDS}"),
         (parse_formula, "Q_A @ (A # B)", ScriptSyntaxError, f"1:5: {ENT_OPERANDS}"),
     ], ids=["empty-wire-name", "no-steps", "no-theorem", "unused-step",
-            "theorem-named-twice", "formula-trailer", "sequent-trailer", "compound-left-of-at",
-            "compound-right-of-at"])
+            "theorem-named-twice", "formula-trailer", "sequent-trailer",
+            "compound-left-of-at", "compound-right-of-at"])
     def test_errors_name_their_class_and_place(self, parse, text, error, expected):
         with pytest.raises(ScriptError) as exc:
             parse(text)

@@ -459,11 +459,11 @@ def same_amps(a, b):
 
 
 def outcome(f, *args):
-    """``("state", result)``, or ``("raises", "Class: message")``."""
+    """``("state", result)``, or ``("raises", message)`` for a ``WireMismatch``."""
     try:
         return "state", f(*args)
-    except Exception as exc:
-        return "raises", f"{type(exc).__name__}: {exc}"
+    except WireMismatch as exc:
+        return "raises", str(exc)
 
 
 def same_residual(a, b):
