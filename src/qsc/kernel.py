@@ -156,9 +156,9 @@ def check_premise(node: Derivation) -> Verdict:
     seen: set = set()
     for f in node.conclusion.consequent:
         wires = formula_wires(f)
-        if seen.intersection(wires):
+        if not seen.isdisjoint(wires):
             return _fail("SchemaMismatch", "a hypothesis asserts each wire once")
-        seen.update(wires)
+        seen |= wires
     return Verdict(True, message="hypothesis")
 
 

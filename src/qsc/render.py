@@ -75,9 +75,9 @@ def render_linear(tree: Derivation) -> str:
         else:
             refs_text = ", ".join(str(numbering[id(p)]) for p in node.premises)
             lines.append(f"  {i}: {stated} by {node.rule}{_param_text(node)}({refs_text})")
-        for f in node.conclusion.antecedent + node.conclusion.consequent + node.params:
-            if isinstance(f, Formula):
-                wires.update(formula_wires(f))
+        # a rule's word parameter names no wire
+        wires |= formula_wires(*node.conclusion.antecedent, *node.conclusion.consequent,
+                               *node.params)
     atoms = " ".join(sorted(wires)) if wires else "A"
     return f"atoms {atoms}\n\ntheorem t:\n" + "\n".join(lines) + "\nqed\n"
 

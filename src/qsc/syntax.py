@@ -294,20 +294,17 @@ def sequent_equivalent(s: Sequent, t: Sequent) -> bool:
             and all(map(equivalent, s.consequent, t.consequent)))
 
 
-def formula_wires(f: Formula) -> Tuple[str, ...]:
-    """Wire names occurring in a formula, in left-to-right first appearance."""
-    seen: list[str] = []
-
-    def walk(g: Formula) -> None:
+def formula_wires(*formulas: Formula) -> set:
+    """Wire names occurring in the formulas; ``0`` names none."""
+    wires: set = set()
+    todo = list(formulas)
+    while todo:
+        g = todo.pop()
         if isinstance(g, (Atom, Qubit)):
-            if g.name not in seen:
-                seen.append(g.name)
+            wires.add(g.name)
         elif isinstance(g, (And, Par, Ent)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return tuple(seen)
+            todo += (g.left, g.right)
+    return wires
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +335,11 @@ def _degree_pair_str(degrees: Optional[DegreePair]) -> str:
 
 def formula_str(f: Formula) -> str:
     if isinstance(f, Atom):
-        return f.name + ("^" if f.negated else "")
+        return f.name + "^" if f.negated else f.name
+    if isinstance(f, Qubit):
+        return "Q_" + f.name if f.degrees is None else f"Q_{f.name}{_degree_pair_str(f.degrees)}"
     if isinstance(f, Null):
         return "0"
-    if isinstance(f, Qubit):
-        return f"Q_{f.name}{_degree_pair_str(f.degrees)}"
     level = _LEVEL.get(type(f))
     if level is None:
         raise TypeError(f"not a formula: {f!r}")
@@ -360,8 +357,9 @@ def formula_str(f: Formula) -> str:
 
 
 def sequent_str(s: Sequent) -> str:
-    left = ", ".join(formula_str(f) for f in s.antecedent)
-    right = ", ".join(formula_str(f) for f in s.consequent)
-    stile = "|-" if s.degree is None else f"|-{{{degree_str(s.degree)}}}"
-    parts = [p for p in (left, stile, right) if p]
-    return " ".join(parts)
+    text = "|-" if s.degree is None else f"|-{{{degree_str(s.degree)}}}"
+    if s.antecedent:
+        text = ", ".join(map(formula_str, s.antecedent)) + " " + text
+    if s.consequent:
+        text += " " + ", ".join(map(formula_str, s.consequent))
+    return text

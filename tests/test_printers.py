@@ -16,9 +16,10 @@ import random
 from hypothesis import given
 
 import conftest as gen
-from qsc.kernel import postorder
+from qsc.kernel import Derivation, postorder
 from qsc.render import render_linear
 from qsc.syntax import (
+    NULL,
     And,
     Atom,
     Ent,
@@ -26,6 +27,7 @@ from qsc.syntax import (
     Null,
     Par,
     Qubit,
+    Sequent,
     SymDegree,
     degree_str,
     formula_str,
@@ -98,14 +100,17 @@ def test_sequents_print_as_before():
 
 def test_the_wires_of_sequents_are_their_atoms_and_qubits():
     for seed, s in zip(SEEDS, sequents()):
-        for f in s.antecedent + s.consequent:
-            assert set(formula_wires(f)) == reference_wires(f), seed
+        formulas = s.antecedent + s.consequent
+        expected = set().union(*map(reference_wires, formulas))
+        assert formula_wires(*formulas) == expected, seed
+        for f in formulas:
+            assert formula_wires(f) == reference_wires(f), seed
 
 
 @given(gen.formulas())
 def test_formulas_print_as_before(f):
     assert formula_str(f) == reference_formula_str(f)
-    assert set(formula_wires(f)) == reference_wires(f)
+    assert formula_wires(f) == reference_wires(f)
 
 
 def reference_atoms_line(tree) -> str:
@@ -122,3 +127,10 @@ def test_the_linear_atoms_line_names_every_wire_of_the_tree():
              + [gen.valid_tree(random.Random(seed)) for seed in range(100)])
     for tree in trees:
         assert render_linear(tree).split("\n", 1)[0] == reference_atoms_line(tree)
+
+
+def test_a_cut_formula_names_its_wires_and_a_tree_without_wires_names_a():
+    leaf = Derivation("premise", Sequent((), (Atom("A"),)))
+    cut = Derivation("cut", Sequent((), (Atom("A"),)), (leaf, leaf), (Qubit("Z"),))
+    assert render_linear(cut).startswith("atoms A Z\n")
+    assert render_linear(Derivation("premise", Sequent((), (NULL,)))).startswith("atoms A\n")
