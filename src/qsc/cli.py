@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, TextIO
 from .corpus import DEFAULT_BINDINGS, run_corpus
 from .kernel import CheckReport, LogicMode, check_derivation
 from .parser import ProofScript, ScriptError, parse_script, script_labels
-from .render import RenderTooLarge, render
+from .render import RenderTooLarge, linear_script, render_ascii
 from .semantics import (
     DEFAULT_TOL,
     NotNormalized,
@@ -63,7 +63,8 @@ def _parse_tol(text: str) -> float:
 
 def _read_script(path: str) -> ProofScript:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # a leading byte-order mark, as some editors write, is not script text
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Refused(f"error: cannot read {path}: {exc}")
@@ -192,10 +193,13 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     script = _read_script(args.path)
+    if args.style == "linear":
+        text = linear_script((theorem.name, theorem.derivation) for theorem in script.theorems)
+        return _report([text[:-1]], args.out, True)  # _report adds the last newline
     lines: List[str] = []
     for theorem in script.theorems:
         try:
-            drawing = render(theorem.derivation, args.style)
+            drawing = render_ascii(theorem.derivation)
         except RenderTooLarge as exc:
             raise _Refused(f"error: theorem {theorem.name}: ascii drawing of {exc}; "
                            "use --style linear")

@@ -8,7 +8,7 @@ of its bar.  A chain's drawing is as wide at every depth.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .kernel import Derivation, postorder
 from .syntax import Formula, formula_str, formula_wires, sequent_str
@@ -31,10 +31,13 @@ _DISPLAY = {
 }
 
 
+_JOINS = {"and": "&R", "at": "@form"}
+
+
 def rule_label(node: Derivation) -> str:
     if node.rule == "parallel":
         join = str(node.params[0]) if node.params else "and"
-        return "&R" if join == "and" else "@form"
+        return _JOINS.get(join, f"parallel({join})")
     label = _DISPLAY.get(node.rule, node.rule)
     extras = [str(p) for p in node.params if not isinstance(p, Formula)]
     if extras and node.rule in ("cnot", "qsplit", "atimplrefl", "atform"):
@@ -63,23 +66,35 @@ def _param_text(node: Derivation) -> str:
 
 def render_linear(tree: Derivation) -> str:
     """Emit a complete script whose single theorem rebuilds the tree."""
+    return linear_script([("t", tree)])
+
+
+def linear_script(theorems: Iterable[Tuple[str, Derivation]]) -> str:
+    """One script whose theorems rebuild the named trees under their names.
+
+    Its one ``atoms`` line names every wire of every tree, or ``A`` when
+    none names a wire.
+    """
     wires: set = set()
-    numbering: Dict[int, int] = {}
-    lines: List[str] = []
-    for node, _ in postorder(tree):
-        i = len(numbering) + 1
-        numbering[id(node)] = i
-        stated = sequent_str(node.conclusion)
-        if node.rule == "premise":
-            lines.append(f"  {i}: {stated} premise")
-        else:
-            refs_text = ", ".join(str(numbering[id(p)]) for p in node.premises)
-            lines.append(f"  {i}: {stated} by {node.rule}{_param_text(node)}({refs_text})")
-        # a rule's word parameter names no wire
-        wires |= formula_wires(*node.conclusion.antecedent, *node.conclusion.consequent,
-                               *node.params)
-    atoms = " ".join(sorted(wires)) if wires else "A"
-    return f"atoms {atoms}\n\ntheorem t:\n" + "\n".join(lines) + "\nqed\n"
+    blocks: List[str] = []
+    for name, tree in theorems:
+        numbering: Dict[int, int] = {}
+        lines = [f"theorem {name}:"]
+        for node, _ in postorder(tree):
+            i = len(numbering) + 1
+            numbering[id(node)] = i
+            stated = sequent_str(node.conclusion)
+            if node.rule == "premise":
+                lines.append(f"  {i}: {stated} premise")
+            else:
+                refs_text = ", ".join(str(numbering[id(p)]) for p in node.premises)
+                lines.append(f"  {i}: {stated} by {node.rule}{_param_text(node)}({refs_text})")
+            # a rule's word parameter names no wire
+            wires |= formula_wires(*node.conclusion.antecedent, *node.conclusion.consequent,
+                                   *node.params)
+        lines.append("qed\n")
+        blocks.append("\n".join(lines))
+    return f"atoms {' '.join(sorted(wires)) or 'A'}\n\n" + "\n".join(blocks)
 
 
 # ---------------------------------------------------------------------------

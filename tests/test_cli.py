@@ -69,6 +69,17 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read no-such-file.qsc: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["check"], ["verify"], ["render"],
+                                      ["render", "--style", "linear"]],
+                             ids=["check", "verify", "ascii", "linear"])
+    def test_a_leading_byte_order_mark_is_read_past(self, tmp_path, argv):
+        plain = CORPUS / "cnot-derivation.qsc"
+        marked = tmp_path / plain.name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(argv[0], str(plain), *argv[1:])
+        assert expected[0] == 0
+        assert run(argv[0], str(marked), *argv[1:]) == expected
+
     def test_a_script_that_is_not_utf8(self, tmp_path):
         script = tmp_path / "bad.qsc"
         script.write_bytes(b"\xff\xfe")
@@ -220,6 +231,19 @@ class TestRender:
     def test_linear(self):
         code, out, _ = run("render", str(CORPUS / "epr.qsc"), "--style", "linear")
         assert code == 0 and "by epr(" in out
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.qsc")), ids=lambda p: p.stem)
+    def test_the_linear_style_is_one_script_that_checks(self, tmp_path, path):
+        # one atoms line, and each theorem under its own name
+        code, out, _ = run("render", str(path), "--style", "linear")
+        assert code == 0 and out.count("atoms ") == 1
+        rendered = tmp_path / path.name
+        rendered.write_text(out)
+        assert run("check", str(rendered))[0] == 0
+        original, back = parse_script(path.read_text()), parse_script(out)
+        assert [t.name for t in back.theorems] == [t.name for t in original.theorems]
+        for before, after in zip(original.theorems, back.theorems):
+            assert after.derivation == before.derivation
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.txt"

@@ -133,6 +133,16 @@ def test_a_chain_is_as_wide_at_every_depth():
     assert len(set(widths.values())) == 1, widths
 
 
+@pytest.mark.parametrize("join, label", [("", "&R"), ("[and]", "&R"), ("[at]", "@form"),
+                                         ("[xyz]", "parallel(xyz)")])
+def test_a_join_is_labelled_as_the_kernel_reads_it(join, label):
+    # the kernel refuses an unknown join, so it is not drawn as a known one
+    tree = tree_of(f"atoms A\ntheorem t:\n  1: |- A premise\n  2: |- A^ premise\n"
+                   f"  3: |- Q_A by parallel{join}(1, 2)\nqed\n")
+    assert rule_label(tree) == label
+    assert render_ascii(tree).splitlines()[1].endswith(f"- {label}")
+
+
 # ---------------------------------------------------------------------------
 # The bound
 
