@@ -298,11 +298,11 @@ def formula_wires(*formulas: Formula) -> set:
     """Wire names occurring in the formulas; ``0`` names none."""
     wires: set = set()
     todo = list(formulas)
-    while todo:
-        g = todo.pop()
-        if isinstance(g, (Atom, Qubit)):
+    for g in todo:  # the walk appends each connective's operands as it goes
+        cls = g.__class__
+        if cls is Atom or cls is Qubit:
             wires.add(g.name)
-        elif isinstance(g, (And, Par, Ent)):
+        elif cls is Par or cls is And or cls is Ent:
             todo += (g.left, g.right)
     return wires
 
