@@ -195,7 +195,7 @@ def cmd_render(args) -> int:
     script = _read_script(args.path)
     if args.style == "linear":
         text = linear_script((theorem.name, theorem.derivation) for theorem in script.theorems)
-        return _report([text[:-1]], args.out, True)  # _report adds the last newline
+        return _report(text.splitlines(), args.out, True)
     lines: List[str] = []
     for theorem in script.theorems:
         try:
